@@ -57,7 +57,7 @@ from .nullmodel import (
     simulate_poisson_distances,
     write_baseline,
 )
-from .primes import PrimeTable, first_n_primes, sieve_up_to
+from .primes import PrimeTable, first_n_primes, primes_in_window, sieve_up_to
 from .spectrum import Spectrum, log_spectrum
 
 __all__ = [
@@ -100,6 +100,7 @@ __all__ = [
     "members_in_window",
     "nearest_member",
     "null_entropy_once",
+    "primes_in_window",
     "read_values",
     "rescale_invariance_check",
     "sieve_up_to",

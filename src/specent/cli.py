@@ -48,7 +48,7 @@ from .nullmodel import (
     estimate_null_entropy,
     write_baseline,
 )
-from .primes import PrimeTable, first_n_primes, sieve_up_to
+from .primes import PrimeTable, first_n_primes, primes_in_window, sieve_up_to
 
 SCHEMA_PREFIX = "specent/v1"
 
@@ -209,16 +209,30 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-def _prime_table(args, needed_limit: float) -> PrimeTable:
+def _check_finite(name: str, *values: float, positive: bool = False) -> None:
+    """Reject a non-finite (or, with ``positive``, a non-positive) flag value."""
+    for value in values:
+        if not math.isfinite(value) or (positive and value <= 0):
+            kind = "positive and finite" if positive else "finite"
+            raise InvalidArgumentError(f"--{name} must be {kind}, got {value}")
+
+
+def _prime_table(args, lo: float, hi: float) -> PrimeTable:
+    """The prime source for a command that reads primes in ``[lo, hi]``.
+
+    ``--n-primes`` and ``--prime-limit`` select a table from 0 up; without
+    them only the window itself is sieved.
+    """
     if getattr(args, "n_primes", None) is not None:
         return first_n_primes(args.n_primes)
     if getattr(args, "prime_limit", None) is not None:
         return sieve_up_to(args.prime_limit)
-    return sieve_up_to(int(math.ceil(needed_limit)))
+    return primes_in_window(math.floor(lo), math.ceil(hi))
 
 
 def _table_provenance(table: PrimeTable) -> dict:
-    return {"prime_limit": int(table.limit), "prime_count": len(table)}
+    return {"prime_lo": int(table.lo), "prime_limit": int(table.limit),
+            "prime_count": len(table)}
 
 
 def _manifest(args, outputs: Sequence[str]) -> dict:
@@ -283,6 +297,8 @@ def _cell(value):
 
 
 def cmd_entropy(args) -> int:
+    _check_finite("p", args.p)
+    _check_finite("R", args.R, positive=True)
     prov: dict = {"base_point": args.p}
     if getattr(args, "points_file", None) is not None:
         pts = np.sort(read_values(args.points_file))
@@ -290,7 +306,7 @@ def cmd_entropy(args) -> int:
         prov["source"] = {"path": args.points_file, "count": int(pts.size)}
         dm = truncated_distances(args.p, pts, args.R)
     else:
-        table = _prime_table(args, args.p + args.R)
+        table = _prime_table(args, args.p - args.R, args.p + args.R)
         prov["model"] = "primes"
         prov["source"] = _table_provenance(table)
         dm = truncated_distances(args.p, table, args.R)
@@ -350,7 +366,10 @@ def cmd_cramer(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    table = _prime_table(args, args.p + max(args.R_grid))
+    _check_finite("p", args.p)
+    _check_finite("R-grid", *args.R_grid, positive=True)
+    reach = max(args.R_grid)
+    table = _prime_table(args, args.p - reach, args.p + reach)
     profile = stability_profile(args.p, args.M, args.R_grid, table, workers=_threads(args))
     rows = list(zip(profile.radii, profile.H_values, profile.envelope))
     _emit(args, "stability_profile", profile.to_dict(), ("R", "H", "tail_envelope"), rows)
@@ -360,7 +379,9 @@ def cmd_stability(args) -> int:
 
 
 def cmd_deviation(args) -> int:
-    table = _prime_table(args, args.p + args.R)
+    _check_finite("p", args.p)
+    _check_finite("R", args.R, positive=True)
+    table = _prime_table(args, args.p - args.R, args.p + args.R)
     if args.intensity is not None:
         null_config = PoissonConfig(intensity=args.intensity, radius=args.R, seed=args.seed)
     else:
@@ -379,7 +400,8 @@ def cmd_deviation(args) -> int:
 
 def cmd_ensemble(args) -> int:
     lo, hi = args.range
-    table = _prime_table(args, hi + args.R)
+    _check_finite("R", args.R, positive=True)
+    table = _prime_table(args, lo - args.R, hi + args.R)
     dist = ensemble_distribution(args.m, args.samples, (lo, hi), args.R, args.M,
                                  args.seed, table, center=args.center,
                                  hist_bins=args.hist_bins, workers=_threads(args))

@@ -6,6 +6,7 @@ same type serves the stochastic simulators, whose points are real-valued.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -57,8 +58,6 @@ class DistanceMultiset:
 
 
 def _points_array(table: PointSource) -> np.ndarray:
-    if isinstance(table, PrimeTable):
-        return table.primes
     pts = np.asarray(table, dtype=np.float64)
     if pts.ndim != 1:
         raise InvalidArgumentError("point configuration must be one-dimensional")
@@ -72,18 +71,30 @@ def truncated_distances(p: float, table: PointSource, R: float) -> DistanceMulti
 
     The base point itself is excluded (distance zero), but ``p`` does not
     have to be a member of the configuration.  A ``PrimeTable`` must cover
-    ``p + R`` (silent truncation would bias the distribution); a raw array
-    is taken to be the complete configuration, so no coverage check applies.
+    ``[p - R, p + R]`` (silent truncation would bias the distribution); a
+    raw array is taken to be the complete configuration, so no coverage
+    check applies.
     """
+    if not (math.isfinite(p) and math.isfinite(R)):
+        raise InvalidArgumentError(f"p and R must be finite, got p = {p}, R = {R}")
     if R <= 0:
         raise InvalidArgumentError(f"R must be positive, got {R}")
-    if isinstance(table, PrimeTable) and not table.covers(p + R):
-        raise CoverageError(
-            f"prime table limit {table.limit} does not cover p + R = {p + R}"
-        )
-    pts = _points_array(table)
-    lo = int(np.searchsorted(pts, p - R, side="left"))
-    hi = int(np.searchsorted(pts, p + R, side="right"))
+    if isinstance(table, PrimeTable):
+        if not table.covers(p - R, p + R):
+            raise CoverageError(
+                f"prime table [{table.lo}, {table.limit}] does not cover "
+                f"[p - R, p + R] = [{p - R}, {p + R}]"
+            )
+        # Integer bounds select the same primes as the float ones without
+        # casting the whole int64 table to float64 for the comparison; the
+        # clamp at 0, below every prime, keeps them in the int64 range.
+        pts = table.primes
+        low, high = max(math.ceil(p - R), 0), max(math.floor(p + R), 0)
+    else:
+        pts = _points_array(table)
+        low, high = p - R, p + R
+    lo = int(np.searchsorted(pts, low, side="left"))
+    hi = int(np.searchsorted(pts, high, side="right"))
     d = np.abs(pts[lo:hi] - float(p))
     d = np.sort(d[(d > 0) & (d <= R)])
     return DistanceMultiset(values=d, radius=float(R), base_points=(p,))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .distances import aggregate_distances, truncated_distances
 from .entropy import full_pipeline
-from .errors import InvalidArgumentError
+from .errors import CoverageError, InvalidArgumentError
 from .nullmodel import NullBaseline, NullEstimate, PoissonConfig, estimate_null_entropy
 from .parallel import ordered_map
 from .primes import PrimeTable
@@ -208,6 +208,8 @@ def ensemble_distribution(
     the ensemble is reproducible and order-independent.  With ``center=True``
     every entropy is shifted by one global baseline mean (the shipped null
     table unless ``baseline`` is given); per-sample centering is not applied.
+    ``table`` must cover ``prime_range``, or the candidates would silently
+    be fewer than the primes in it.
     """
     if m < 1:
         raise InvalidArgumentError(f"m must be at least 1, got {m}")
@@ -216,6 +218,10 @@ def ensemble_distribution(
     lo, hi = float(prime_range[0]), float(prime_range[1])
     if not lo < hi:
         raise InvalidArgumentError(f"invalid prime range [{lo}, {hi}]")
+    if not table.covers(lo, hi):
+        raise CoverageError(
+            f"prime table [{table.lo}, {table.limit}] does not cover the range [{lo}, {hi}]"
+        )
     primes = table.primes
     lo_i = int(np.searchsorted(primes, lo, side="left"))
     hi_i = int(np.searchsorted(primes, hi, side="right"))

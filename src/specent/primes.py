@@ -1,4 +1,4 @@
-"""Prime generation: flat and segmented sieves plus first-n selection."""
+"""Prime generation: flat, segmented and windowed sieves plus first-n selection."""
 
 from __future__ import annotations
 
@@ -17,16 +17,29 @@ _MAX_LIMIT = 2**63 - 1
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes up to ``limit`` (inclusive), sorted ascending int64."""
+    """All primes in ``[lo, limit]`` (inclusive), sorted ascending int64.
+
+    ``lo`` is 0 for a table that starts at the beginning of the integers and
+    the low end of the sieved window for :func:`primes_in_window`.
+    """
 
     limit: int
     primes: np.ndarray
+    lo: int = 0
 
     def __len__(self) -> int:
         return int(self.primes.size)
 
-    def covers(self, bound: float) -> bool:
-        return self.limit >= bound
+    def covers(self, lo: float, hi: float | None = None) -> bool:
+        """Whether every prime in ``[lo, hi]`` is listed.
+
+        Like ``range``, a single argument is the upper end: ``covers(hi)``
+        asks about ``[0, hi]``.  No prime lies below 2, so a table starting
+        at or below 2 covers any low end.
+        """
+        if hi is None:
+            lo, hi = 0, lo
+        return bool(self.limit >= hi and (self.lo <= 2 or self.lo <= np.ceil(lo)))
 
 
 def _flat_sieve(limit: int) -> np.ndarray:
@@ -38,23 +51,47 @@ def _flat_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(is_prime).astype(np.int64)
 
 
-def _segmented_sieve(limit: int) -> np.ndarray:
-    base = _flat_sieve(math.isqrt(limit))
-    chunks = [base]
-    low = math.isqrt(limit) + 1
-    while low <= limit:
-        high = min(low + _SEGMENT_SPAN, limit + 1)  # exclusive
-        mask = np.ones(high - low, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((low + p - 1) // p) * p)
-            if start < high:
-                mask[start - low :: p] = False
+def _mark_composites(mask: np.ndarray, low: int, base: np.ndarray) -> None:
+    """Clear ``mask[i]`` for every composite ``low + i`` with a factor in ``base``.
+
+    ``base`` holds every prime up to the square root of the segment's top.
+    A base prime clears its multiples from its square on, so base primes
+    inside the segment stay set.  A base prime no smaller than the segment
+    has at most one multiple in it; those are cleared in one vectorized step.
+    """
+    span = mask.size
+    first = np.maximum((-low) % base, base * base - low)  # offset of the first multiple
+    hit = first < span
+    single = hit & (base >= span)
+    mask[first[single]] = False
+    stepped = hit & ~single
+    for p, start in zip(base[stepped].tolist(), first[stepped].tolist()):
+        mask[start::p] = False
+
+
+def _sieve_segments(low: int, high: int, base: np.ndarray) -> list:
+    """Primes in ``[low, high]`` as a list of int64 chunks, one per segment."""
+    chunks = []
+    while low <= high:
+        end = min(low + _SEGMENT_SPAN, high + 1)  # exclusive
+        mask = np.ones(end - low, dtype=bool)
+        mask[: max(0, 2 - low)] = False
+        _mark_composites(mask, low, base)
         hits = np.flatnonzero(mask)
         if hits.size:
             chunks.append((low + hits).astype(np.int64))
-        low = high
-    return np.concatenate(chunks)
+        low = end
+    return chunks
+
+
+def _segmented_sieve(limit: int) -> np.ndarray:
+    base = _flat_sieve(math.isqrt(limit))
+    return np.concatenate([base] + _sieve_segments(math.isqrt(limit) + 1, limit, base))
+
+
+def _check_limit(limit: int) -> None:
+    if limit > _MAX_LIMIT:
+        raise InvalidArgumentError(f"limit {limit} exceeds the 63-bit range")
 
 
 def sieve_up_to(limit: int) -> PrimeTable:
@@ -71,11 +108,33 @@ def sieve_up_to(limit: int) -> PrimeTable:
     limit = int(limit)
     if limit < 2:
         raise InvalidArgumentError(f"limit must be at least 2, got {limit}")
-    if limit > _MAX_LIMIT:
-        raise InvalidArgumentError(f"limit {limit} exceeds the 63-bit range")
+    _check_limit(limit)
     if limit <= _SEGMENT_SPAN:
         return PrimeTable(limit=limit, primes=_flat_sieve(limit))
     return PrimeTable(limit=limit, primes=_segmented_sieve(limit))
+
+
+def primes_in_window(lo: int, hi: int) -> PrimeTable:
+    """All primes in ``[max(lo, 0), hi]`` by a segmented sieve of that window.
+
+    Only the base primes up to ``isqrt(hi)`` and the window itself are
+    sieved, so the cost follows the window length rather than ``hi``.  The
+    table's ``lo`` and ``limit`` are the window's ends.
+
+    Parameters
+    ----------
+    lo, hi : int
+        Inclusive window ends; ``lo`` below 0 is clamped to 0, and
+        ``max(lo, 0) <= hi < 2**63``.
+    """
+    lo, hi = max(int(lo), 0), int(hi)
+    if hi < lo:
+        raise InvalidArgumentError(f"prime window [{lo}, {hi}] is empty")
+    _check_limit(hi)
+    base = _flat_sieve(math.isqrt(hi))
+    chunks = _sieve_segments(lo, hi, base)
+    primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    return PrimeTable(limit=hi, primes=primes, lo=lo)
 
 
 def first_n_primes(n: int) -> PrimeTable:

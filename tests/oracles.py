@@ -1,7 +1,7 @@
 """Independent straight-line reference implementations.
 
 Everything here is deliberately written the slow, obvious way (trial
-division, per-element scans, cmath loops) and shares no code with the
+division or Miller-Rabin per integer, per-element scans, cmath loops) and shares no code with the
 package.  These functions adjudicate the vectorized implementations; do
 not "fix" them to match the package, fix the package to match them.
 
@@ -35,6 +35,35 @@ def oracle_primes(limit: int) -> list:
         if is_prime:
             out.append(n)
     return out
+
+
+def oracle_is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; the first 12 prime bases are exact below 3.3e24."""
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def oracle_primes_in_window(lo: int, hi: int) -> list:
+    """All primes in [lo, hi] by Miller-Rabin on every integer."""
+    return [n for n in range(max(lo, 0), hi + 1) if oracle_is_prime(n)]
 
 
 def oracle_distances(p: float, points, R: float) -> list:

@@ -9,6 +9,8 @@ import pytest
 from specent import write_values
 from specent.cli import main
 
+from oracles import oracle_pipeline, oracle_primes_in_window
+
 
 def run(argv, capsys):
     try:
@@ -228,3 +230,69 @@ def test_malformed_points_file_exits_2(tmp_path, capsys):
                         "--points-file", str(tmp_path / "missing.txt")], capsys)
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--p", "nan", "--R", "1e3", "--M", "50"],
+    ["entropy", "--p", "101", "--R", "inf", "--M", "50"],
+    ["entropy", "--p=-inf", "--R", "1e3", "--M", "50", "--prime-limit", "2000"],
+    ["deviation", "--p", "inf", "--R", "1e3", "--M", "50", "--reps", "4", "--seed", "1"],
+    ["deviation", "--p", "101", "--R", "nan", "--M", "50", "--reps", "4", "--seed", "1"],
+    ["stability", "--p", "nan", "--M", "50", "--R-grid", "1e3,1e4"],
+    ["stability", "--p", "101", "--M", "50", "--R-grid", "1e3,inf"],
+    ["stability", "--p", "101", "--M", "50", "--R-grid", "nan", "--n-primes", "100"],
+])
+def test_nonfinite_window_inputs_exit_2(argv, tmp_path, capsys):
+    code, _, err = run(argv + ["--out", str(tmp_path / "r.json")], capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "must be" in err and "finite" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_window_source_clamps_at_zero_and_matches_full_table(tmp_path, capsys):
+    # p < R: the window [p - R, p + R] starts below 0 and is clamped.
+    paths = [tmp_path / "window.json", tmp_path / "full.json"]
+    base = ["entropy", "--p", "101", "--R", "5000", "--M", "50"]
+    assert run(base + ["--out", str(paths[0])], capsys)[0] == 0
+    assert run(base + ["--n-primes", "10000", "--out", str(paths[1])], capsys)[0] == 0
+    window, full = (validate_payload(path)["result"] for path in paths)
+    assert window["H"] == full["H"]
+    assert window["provenance"]["source"] == {"prime_lo": 0, "prime_limit": 5101,
+                                              "prime_count": 682}
+
+
+def test_entropy_sieves_only_the_window(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["entropy", "--p", "1e6", "--R", "1e3", "--M", "50", "--out", str(out)],
+               capsys)[0] == 0
+    source = validate_payload(out)["result"]["provenance"]["source"]
+    primes = oracle_primes_in_window(10**6 - 1000, 10**6 + 1000)
+    assert source == {"prime_lo": 10**6 - 1000, "prime_limit": 10**6 + 1000,
+                      "prime_count": len(primes)}
+
+
+def test_entropy_at_1e12_matches_miller_rabin_pipeline(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    p, R, M = 10**12, 1000, 50
+    code, _, _ = run(["entropy", "--p", "1e12", "--R", "1e3", "--M", "50", "--out", str(out)],
+                     capsys)
+    assert code == 0
+    H = validate_payload(out)["result"]["H"]
+    expected = oracle_pipeline(p, oracle_primes_in_window(p - R, p + R), R, M)
+    assert H == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_window_commands_match_full_tables(tmp_path, capsys):
+    cases = [
+        (["stability", "--p", "5003", "--M", "20", "--R-grid", "1e2,1e3"], "20000"),
+        (["deviation", "--p", "5003", "--R", "1e3", "--M", "20", "--reps", "4",
+          "--seed", "2"], "20000"),
+        (["ensemble", "--m", "2", "--samples", "6", "--range", "5e3:8e3",
+          "--R", "1e3", "--M", "20", "--seed", "2"], "20000"),
+    ]
+    for argv, limit in cases:
+        a, b = tmp_path / f"{argv[0]}_w.json", tmp_path / f"{argv[0]}_f.json"
+        assert run(argv + ["--out", str(a)], capsys)[0] == 0
+        assert run(argv + ["--prime-limit", limit, "--out", str(b)], capsys)[0] == 0
+        assert validate_payload(a)["result"] == validate_payload(b)["result"]

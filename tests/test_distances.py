@@ -7,6 +7,7 @@ from specent import (
     DistanceMultiset,
     InvalidArgumentError,
     aggregate_distances,
+    primes_in_window,
     read_values,
     sieve_up_to,
     truncated_distances,
@@ -47,6 +48,38 @@ def test_nonmember_base_point_allowed(table):
 def test_coverage_error(table):
     with pytest.raises(CoverageError):
         truncated_distances(19000, table, 5000)
+
+
+def test_coverage_error_at_low_end():
+    window = primes_in_window(1000, 3000)
+    assert truncated_distances(2000, window, 1000).values.size > 0
+    with pytest.raises(CoverageError):
+        truncated_distances(1500, window, 600)  # p - R = 900 lies below the table
+
+
+def test_window_table_gives_same_distances(table):
+    window = primes_in_window(9973 - 300, 9973 + 300)
+    for p, R in [(9973, 300), (9900.5, 200.25)]:
+        assert np.array_equal(truncated_distances(p, window, R).values,
+                              truncated_distances(p, table, R).values)
+
+
+@pytest.mark.parametrize("p, R", [(float("nan"), 10.0), (101.0, float("inf")), (float("-inf"), 5.0)])
+def test_nonfinite_inputs_rejected(table, p, R):
+    with pytest.raises(InvalidArgumentError):
+        truncated_distances(p, table, R)
+
+
+@given(p=st.floats(min_value=-100, max_value=20000, allow_nan=False),
+       R=st.floats(min_value=1e-3, max_value=19000, allow_nan=False))
+def test_prime_table_bounds_match_float_search(table, p, R):
+    # The integer search bounds used for a PrimeTable must select exactly
+    # what a float search over the same points selects.
+    if p + R > table.limit:
+        return
+    as_floats = table.primes.astype(np.float64)
+    got = truncated_distances(p, table, R).values
+    assert got.tobytes() == truncated_distances(p, as_floats, R).values.tobytes()
 
 
 def test_nonpositive_radius_rejected(table):

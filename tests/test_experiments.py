@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specent import (
+    CoverageError,
     InvalidArgumentError,
     PoissonConfig,
     aggregate_distances,
@@ -12,6 +13,7 @@ from specent import (
     full_pipeline,
     load_null_baseline,
     matched_null_config,
+    primes_in_window,
     sieve_up_to,
     stability_profile,
     truncated_distances,
@@ -102,6 +104,23 @@ def test_ensemble_centering_shifts_by_baseline(table):
 def test_ensemble_insufficient_primes(table):
     with pytest.raises(InvalidArgumentError):
         ensemble_distribution(10, 5, (10**4, 10**4 + 20), 1e3, 50, 1, table)
+
+
+def test_ensemble_requires_coverage_of_the_range():
+    # Fewer candidates than the range holds would change the sampling
+    # without notice, so a table short of either end is an error.
+    with pytest.raises(CoverageError):
+        ensemble_distribution(2, 3, (10**4, 2 * 10**4), 1e3, 50, 1, sieve_up_to(15000))
+    with pytest.raises(CoverageError):
+        ensemble_distribution(2, 3, (10**4, 2 * 10**4), 1e3, 50, 1,
+                              primes_in_window(12000, 30000))
+
+
+def test_ensemble_on_window_table_matches_full_table(table):
+    window = primes_in_window(10**4 - 10**3, 2 * 10**4 + 10**3)
+    a = ensemble_distribution(3, 10, (10**4, 2 * 10**4), 1e3, 50, 4, window)
+    b = ensemble_distribution(3, 10, (10**4, 2 * 10**4), 1e3, 50, 4, table)
+    assert np.array_equal(a.samples, b.samples)
 
 
 def test_ensemble_aggregation_matches_manual(table):

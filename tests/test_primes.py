@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from specent import InvalidArgumentError, first_n_primes, sieve_up_to
+from specent import InvalidArgumentError, first_n_primes, primes_in_window, sieve_up_to
 from specent.primes import _SEGMENT_SPAN
 
-from oracles import oracle_primes
+from oracles import oracle_primes, oracle_primes_in_window
 
 
 def test_sieve_matches_trial_division():
@@ -68,3 +71,70 @@ def test_covers():
 def test_primes_are_strictly_increasing():
     primes = sieve_up_to(100000).primes
     assert np.all(np.diff(primes) > 0)
+
+
+def test_covers_low_end():
+    table = primes_in_window(90, 200)
+    assert table.lo == 90 and table.limit == 200
+    assert table.covers(90, 200)
+    assert table.covers(89.5, 150)  # no integer below 90 is left out
+    assert not table.covers(89, 150)
+    assert not table.covers(90, 201)
+    assert not table.covers(150)  # one argument asks about [0, 150]
+    assert primes_in_window(2, 50).covers(50)
+    assert sieve_up_to(100).covers(-1e9, 100)
+
+
+def _window_slice(lo, hi):
+    primes = sieve_up_to(hi).primes
+    return primes[primes >= lo]
+
+
+@st.composite
+def windows(draw):
+    hi = draw(st.one_of(st.integers(2, 5000), st.integers(2, 200_000),
+                        st.integers(_SEGMENT_SPAN - 50, _SEGMENT_SPAN + 3000)))
+    lo = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, math.isqrt(hi)),
+                        st.just(hi), st.integers(0, hi)))
+    return lo, hi
+
+
+@given(windows())
+def test_window_matches_sieve_slice(window):
+    lo, hi = window
+    table = primes_in_window(lo, hi)
+    assert (table.lo, table.limit) == (lo, hi)
+    assert table.primes.dtype == np.int64
+    assert np.array_equal(table.primes, _window_slice(lo, hi))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, 2), (1, 2), (2, 2), (0, 97), (1, 97), (2, 97),
+    (5, 10_000),              # lo below isqrt(hi): base primes lie in the window
+    (97, 97), (100, 100),     # single integers, prime and composite
+    (0, _SEGMENT_SPAN + 10),  # two segments
+    (_SEGMENT_SPAN - 500, _SEGMENT_SPAN + 500),
+    (7, 2 * _SEGMENT_SPAN + 3),
+])
+def test_window_edge_cases(lo, hi):
+    assert np.array_equal(primes_in_window(lo, hi).primes, _window_slice(lo, hi))
+
+
+def test_window_clamps_negative_low_end():
+    table = primes_in_window(-50, 30)
+    assert table.lo == 0
+    assert table.primes.tolist() == oracle_primes(30)
+
+
+def test_window_rejects_empty_and_oversized():
+    with pytest.raises(InvalidArgumentError):
+        primes_in_window(10, 9)
+    with pytest.raises(InvalidArgumentError):
+        primes_in_window(-20, -10)
+    with pytest.raises(InvalidArgumentError):
+        primes_in_window(2**63 - 10, 2**63)
+
+
+def test_window_near_1e12_matches_miller_rabin():
+    lo, hi = 10**12 - 1000, 10**12 + 1000
+    assert primes_in_window(lo, hi).primes.tolist() == oracle_primes_in_window(lo, hi)

@@ -77,6 +77,8 @@ def nearest_member(config: CramerConfig, coord: float) -> int:
     closer, so the result matches a full-range search.
     """
     coord = float(coord)
+    if not math.isfinite(coord):
+        raise InvalidArgumentError(f"base coordinate must be finite, got {coord}")
     half_width = max(16.0, 8.0 * math.log(max(coord, 3.0)))
     while True:
         lo = max(3, math.floor(coord - half_width))
@@ -106,8 +108,8 @@ def cramer_distances(
     is invariant to; the distinction matters when aggregating multisets
     across base points.
     """
-    if R <= 0:
-        raise InvalidArgumentError(f"R must be positive, got {R}")
+    if not (math.isfinite(R) and R > 0):
+        raise InvalidArgumentError(f"R must be positive and finite, got {R}")
     if base_point + R > config.N:
         raise CoverageError(
             f"simulation bound N={config.N} does not cover base_point + R = {base_point + R}"

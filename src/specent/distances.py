@@ -13,7 +13,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import CoverageError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .primes import PrimeTable
 
 PointSource = Union[PrimeTable, np.ndarray, Sequence[float]]
@@ -80,22 +80,13 @@ def truncated_distances(p: float, table: PointSource, R: float) -> DistanceMulti
     if R <= 0:
         raise InvalidArgumentError(f"R must be positive, got {R}")
     if isinstance(table, PrimeTable):
-        if not table.covers(p - R, p + R):
-            raise CoverageError(
-                f"prime table [{table.lo}, {table.limit}] does not cover "
-                f"[p - R, p + R] = [{p - R}, {p + R}]"
-            )
-        # Integer bounds select the same primes as the float ones without
-        # casting the whole int64 table to float64 for the comparison; the
-        # clamp at 0, below every prime, keeps them in the int64 range.
-        pts = table.primes
-        low, high = max(math.ceil(p - R), 0), max(math.floor(p + R), 0)
+        pts = table.between(p - R, p + R)
     else:
         pts = _points_array(table)
-        low, high = p - R, p + R
-    lo = int(np.searchsorted(pts, low, side="left"))
-    hi = int(np.searchsorted(pts, high, side="right"))
-    d = np.abs(pts[lo:hi] - float(p))
+        lo = int(np.searchsorted(pts, p - R, side="left"))
+        hi = int(np.searchsorted(pts, p + R, side="right"))
+        pts = pts[lo:hi]
+    d = np.abs(pts - float(p))
     d = np.sort(d[(d > 0) & (d <= R)])
     return DistanceMultiset(values=d, radius=float(R), base_points=(p,))
 

@@ -15,8 +15,14 @@ import numpy as np
 
 from .distances import aggregate_distances, truncated_distances
 from .entropy import full_pipeline
-from .errors import CoverageError, InvalidArgumentError
-from .nullmodel import NullBaseline, NullEstimate, PoissonConfig, estimate_null_entropy
+from .errors import InvalidArgumentError
+from .nullmodel import (
+    NullBaseline,
+    NullEstimate,
+    PoissonConfig,
+    estimate_null_entropy,
+    load_null_baseline,
+)
 from .parallel import ordered_map
 from .primes import PrimeTable
 from .rng import generator
@@ -218,14 +224,7 @@ def ensemble_distribution(
     lo, hi = float(prime_range[0]), float(prime_range[1])
     if not lo < hi:
         raise InvalidArgumentError(f"invalid prime range [{lo}, {hi}]")
-    if not table.covers(lo, hi):
-        raise CoverageError(
-            f"prime table [{table.lo}, {table.limit}] does not cover the range [{lo}, {hi}]"
-        )
-    primes = table.primes
-    lo_i = int(np.searchsorted(primes, lo, side="left"))
-    hi_i = int(np.searchsorted(primes, hi, side="right"))
-    candidates = primes[lo_i:hi_i]
+    candidates = table.between(lo, hi)
     if candidates.size < m:
         raise InvalidArgumentError(
             f"only {candidates.size} primes in [{lo}, {hi}], need at least {m}"
@@ -240,8 +239,6 @@ def ensemble_distribution(
     baseline_mean = None
     if center:
         if baseline is None:
-            from .nullmodel import load_null_baseline
-
             baseline = load_null_baseline()
         baseline_mean = float(baseline.mean)
         samples = samples - baseline_mean

@@ -48,10 +48,10 @@ class PoissonConfig:
     seed: int
 
     def __post_init__(self):
-        if self.intensity <= 0:
-            raise InvalidArgumentError(f"intensity must be positive, got {self.intensity}")
-        if self.radius <= 0:
-            raise InvalidArgumentError(f"radius must be positive, got {self.radius}")
+        for name in ("intensity", "radius"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Prime generation: flat, segmented and windowed sieves plus first-n selection."""
+"""Prime generation: one windowed sieve plus first-n selection."""
 
 from __future__ import annotations
 
@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import CoverageError, InvalidArgumentError
 
-# Flat sieve below this bound, segments of this span above it; the segment
-# span bounds memory to a few MB regardless of the limit.
+# Windows are sieved in segments of this span, which bounds memory to a few
+# MB regardless of the window length.
 _SEGMENT_SPAN = 1 << 22
 _MAX_LIMIT = 2**63 - 1
 
@@ -30,19 +30,36 @@ class PrimeTable:
     def __len__(self) -> int:
         return int(self.primes.size)
 
-    def covers(self, lo: float, hi: float | None = None) -> bool:
+    def covers(self, lo: float, hi: float) -> bool:
         """Whether every prime in ``[lo, hi]`` is listed.
 
-        Like ``range``, a single argument is the upper end: ``covers(hi)``
-        asks about ``[0, hi]``.  No prime lies below 2, so a table starting
-        at or below 2 covers any low end.
+        No prime lies below 2, so a table starting at or below 2 covers any
+        low end.
         """
-        if hi is None:
-            lo, hi = 0, lo
         return bool(self.limit >= hi and (self.lo <= 2 or self.lo <= np.ceil(lo)))
+
+    def between(self, lo: float, hi: float) -> np.ndarray:
+        """The primes in ``[lo, hi]``; raises ``CoverageError`` unless covered.
+
+        A table short of either end would silently drop primes, which would
+        bias every statistic built on the slice.
+        """
+        if not self.covers(lo, hi):
+            raise CoverageError(
+                f"prime table [{self.lo}, {self.limit}] does not cover [{lo}, {hi}]"
+            )
+        # Integer bounds select the same primes as the float ones without
+        # casting the whole int64 table to float64 for the comparison; the
+        # clamp at 0, below every prime, keeps them in the int64 range (and
+        # turns a low end of -inf into 0).
+        low, high = math.ceil(max(lo, 0)), math.floor(max(hi, 0))
+        start = int(np.searchsorted(self.primes, low, side="left"))
+        stop = int(np.searchsorted(self.primes, high, side="right"))
+        return self.primes[start:stop]
 
 
 def _flat_sieve(limit: int) -> np.ndarray:
+    """All primes ``<= limit`` by one boolean sieve; the window sieve's base primes."""
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -84,21 +101,8 @@ def _sieve_segments(low: int, high: int, base: np.ndarray) -> list:
     return chunks
 
 
-def _segmented_sieve(limit: int) -> np.ndarray:
-    base = _flat_sieve(math.isqrt(limit))
-    return np.concatenate([base] + _sieve_segments(math.isqrt(limit) + 1, limit, base))
-
-
-def _check_limit(limit: int) -> None:
-    if limit > _MAX_LIMIT:
-        raise InvalidArgumentError(f"limit {limit} exceeds the 63-bit range")
-
-
 def sieve_up_to(limit: int) -> PrimeTable:
-    """All primes ``<= limit`` via a sieve of Eratosthenes.
-
-    Uses a flat sieve for small limits and a segmented sieve (bounded
-    memory) above ``_SEGMENT_SPAN``.
+    """All primes ``<= limit``: the window ``[0, limit]`` of :func:`primes_in_window`.
 
     Parameters
     ----------
@@ -108,10 +112,7 @@ def sieve_up_to(limit: int) -> PrimeTable:
     limit = int(limit)
     if limit < 2:
         raise InvalidArgumentError(f"limit must be at least 2, got {limit}")
-    _check_limit(limit)
-    if limit <= _SEGMENT_SPAN:
-        return PrimeTable(limit=limit, primes=_flat_sieve(limit))
-    return PrimeTable(limit=limit, primes=_segmented_sieve(limit))
+    return primes_in_window(0, limit)
 
 
 def primes_in_window(lo: int, hi: int) -> PrimeTable:
@@ -130,7 +131,8 @@ def primes_in_window(lo: int, hi: int) -> PrimeTable:
     lo, hi = max(int(lo), 0), int(hi)
     if hi < lo:
         raise InvalidArgumentError(f"prime window [{lo}, {hi}] is empty")
-    _check_limit(hi)
+    if hi > _MAX_LIMIT:
+        raise InvalidArgumentError(f"limit {hi} exceeds the 63-bit range")
     base = _flat_sieve(math.isqrt(hi))
     chunks = _sieve_segments(lo, hi, base)
     primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)

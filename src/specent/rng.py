@@ -16,8 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 
 def seed_sequence(seed: int, *spawn_key: int) -> np.random.SeedSequence:
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
     return np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
 
 

@@ -1,8 +1,8 @@
 """Independent straight-line reference implementations.
 
 Everything here is deliberately written the slow, obvious way (trial
-division or Miller-Rabin per integer, per-element scans, cmath loops) and shares no code with the
-package.  These functions adjudicate the vectorized implementations; do
+division or Miller-Rabin per integer, a plain boolean sieve, per-element scans, cmath loops) and
+shares no code with the package.  These functions adjudicate the vectorized implementations; do
 not "fix" them to match the package, fix the package to match them.
 
 Definitions implemented:
@@ -20,6 +20,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 
 def oracle_primes(limit: int) -> list:
     """All primes <= limit by trial division."""
@@ -35,6 +37,16 @@ def oracle_primes(limit: int) -> list:
         if is_prime:
             out.append(n)
     return out
+
+
+def oracle_sieve(limit: int) -> np.ndarray:
+    """All primes <= limit by a plain boolean sieve of Eratosthenes."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for k in range(2, int(limit**0.5) + 1):
+        if mask[k]:
+            mask[k * k :: k] = False
+    return np.flatnonzero(mask)
 
 
 def oracle_is_prime(n: int) -> bool:

@@ -241,12 +241,37 @@ def test_malformed_points_file_exits_2(tmp_path, capsys):
     ["stability", "--p", "nan", "--M", "50", "--R-grid", "1e3,1e4"],
     ["stability", "--p", "101", "--M", "50", "--R-grid", "1e3,inf"],
     ["stability", "--p", "101", "--M", "50", "--R-grid", "nan", "--n-primes", "100"],
+    ["null", "--lambda", "nan", "--R", "1e3", "--reps", "4", "--seed", "1"],
+    ["null", "--lambda", "inf", "--R", "1e3", "--reps", "4", "--seed", "1"],
+    ["null", "--R", "nan", "--reps", "4", "--seed", "1"],
+    ["null", "--check-stabilization", "--R-grid", "nan,10", "--seed", "1"],
+    ["null", "--check-stabilization", "--R-grid", "10,nan", "--seed", "1"],
+    ["deviation", "--p", "101", "--R", "1e3", "--M", "50", "--reps", "4", "--seed", "1",
+     "--lambda", "nan"],
+    ["cramer", "--N", "1e7", "--R", "nan", "--M", "50", "--seed", "1"],
+    ["cramer", "--N", "1e7", "--R", "1e3", "--M", "50", "--seed", "1", "--base", "nan"],
 ])
 def test_nonfinite_window_inputs_exit_2(argv, tmp_path, capsys):
     code, _, err = run(argv + ["--out", str(tmp_path / "r.json")], capsys)
     assert code == 2
     assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
     assert "must be" in err and "finite" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["null", "--R", "1e3", "--reps", "4", "--seed=-1"],
+    ["cramer", "--N", "1e7", "--R", "1e3", "--M", "50", "--seed=-1"],
+    ["ensemble", "--m", "2", "--samples", "3", "--range", "1e4:2e4", "--R", "1e3",
+     "--M", "50", "--seed=-1"],
+])
+def test_negative_seed_exits_2(argv, tmp_path, capsys):
+    code, _, err = run(argv + ["--out", str(tmp_path / "r.json")], capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert "seed must be non-negative" in err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from specent import InvalidArgumentError, first_n_primes, primes_in_window, sieve_up_to
+from specent import (
+    CoverageError,
+    InvalidArgumentError,
+    first_n_primes,
+    primes_in_window,
+    sieve_up_to,
+)
 from specent.primes import _SEGMENT_SPAN
 
-from oracles import oracle_primes, oracle_primes_in_window
+from oracles import oracle_primes, oracle_primes_in_window, oracle_sieve
 
 
 def test_sieve_matches_trial_division():
@@ -29,16 +35,9 @@ def test_sieve_limit_below_two_rejected():
 
 
 def test_segmented_agrees_with_flat_across_boundary():
-    # Limit just past one segment span forces the segmented path.
+    # Limit just past one segment span: the sieve runs over two segments.
     limit = _SEGMENT_SPAN + 1000
-    seg = sieve_up_to(limit).primes
-    # Flat reference on the same range via a plain boolean sieve.
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for k in range(2, int(limit**0.5) + 1):
-        if mask[k]:
-            mask[k * k :: k] = False
-    assert np.array_equal(seg, np.flatnonzero(mask))
+    assert np.array_equal(sieve_up_to(limit).primes, oracle_sieve(limit))
 
 
 def test_first_n_primes_exact_prefix():
@@ -63,9 +62,9 @@ def test_first_n_primes_rejects_nonpositive():
 
 def test_covers():
     table = sieve_up_to(100)
-    assert table.covers(100)
-    assert table.covers(99.5)
-    assert not table.covers(101)
+    assert table.covers(0, 100)
+    assert table.covers(0, 99.5)
+    assert not table.covers(0, 101)
 
 
 def test_primes_are_strictly_increasing():
@@ -80,13 +79,25 @@ def test_covers_low_end():
     assert table.covers(89.5, 150)  # no integer below 90 is left out
     assert not table.covers(89, 150)
     assert not table.covers(90, 201)
-    assert not table.covers(150)  # one argument asks about [0, 150]
-    assert primes_in_window(2, 50).covers(50)
+    assert not table.covers(0, 150)
+    assert primes_in_window(2, 50).covers(0, 50)
     assert sieve_up_to(100).covers(-1e9, 100)
+
+    with pytest.raises(CoverageError):
+        table.between(89, 150)
+    with pytest.raises(CoverageError):
+        table.between(90, 201)
+    primes = table.primes
+    for lo, hi in [(90, 200), (89.5, 150), (96.5, 103.9), (100.2, 100.8), (150, 199.99)]:
+        start = np.searchsorted(primes, lo, side="left")
+        stop = np.searchsorted(primes, hi, side="right")
+        assert np.array_equal(table.between(lo, hi), primes[start:stop])
+    assert table.between(96.5, 103.9).tolist() == [97, 101, 103]
+    assert sieve_up_to(100).between(-math.inf, 10).tolist() == [2, 3, 5, 7]
 
 
 def _window_slice(lo, hi):
-    primes = sieve_up_to(hi).primes
+    primes = oracle_sieve(hi)
     return primes[primes >= lo]
 
 

@@ -28,7 +28,6 @@ from .entropy import EntropyReport, full_pipeline, spectral_entropy
 from .errors import (
     ConfigurationError,
     CoverageError,
-    DegenerateCentersError,
     DegenerateRangeError,
     DegenerateSpectrumError,
     EmptyDistancesError,
@@ -65,7 +64,6 @@ __all__ = [
     "CramerConfig",
     "ConfigurationError",
     "CoverageError",
-    "DegenerateCentersError",
     "DegenerateRangeError",
     "DegenerateSpectrumError",
     "DeviationProfile",

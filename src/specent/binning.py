@@ -17,6 +17,10 @@ import numpy as np
 from .distances import DistanceMultiset
 from .errors import DegenerateRangeError, EmptyDistancesError, InvalidArgumentError
 
+# Largest supported bin count.  Every per-bin array, and the JSON weight
+# list of an entropy report, grows linearly with M.
+MAX_BINS = 2**16
+
 
 @dataclass(frozen=True)
 class LogBinning:
@@ -61,21 +65,24 @@ def log_bin(distances: DistanceMultiset, M: int) -> LogBinning:
     EmptyDistancesError
         If the multiset is empty.
     DegenerateRangeError
-        If all distances coincide (zero-width log range).
+        If the extrema have equal logarithms (zero-width log range).
     """
     M = int(M)
     if M < 2:
         raise InvalidArgumentError(f"M must be at least 2, got {M}")
+    if M > MAX_BINS:
+        raise InvalidArgumentError(f"M must be at most {MAX_BINS}, got {M}")
     v = distances.values
     if v.size == 0:
         raise EmptyDistancesError("No distances available")
     d_min = float(v[0])
     d_max = float(v[-1])
-    if d_min == d_max:
-        raise DegenerateRangeError(f"all distances equal {d_min}; log range is degenerate")
-
     log_min = math.log(d_min)
     log_max = math.log(d_max)
+    if log_min == log_max:
+        raise DegenerateRangeError(
+            f"distances span [{d_min!r}, {d_max!r}], a zero-width log range"
+        )
     span = log_max - log_min
     log_edges = log_min + (np.arange(M + 1, dtype=np.float64) / M) * span
     log_edges[0] = log_min

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
+from .binning import MAX_BINS
 from .cramer import RESCALE_MODES, CramerConfig, cramer_entropy
 from .distances import read_values, truncated_distances
 from .entropy import full_pipeline
@@ -415,10 +416,12 @@ def cmd_ensemble(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "M", None) is not None and args.M < 2:
-        parser.error("--M must be at least 2")
+    if getattr(args, "M", None) is not None and not 2 <= args.M <= MAX_BINS:
+        parser.error(f"--M must be at least 2 and at most {MAX_BINS}")
     if getattr(args, "reps", None) is not None and args.reps < 2:
         parser.error("--reps must be at least 2")
+    if getattr(args, "threads", None) is not None and args.threads < 1:
+        parser.error("--threads must be at least 1")
     try:
         return args.func(args)
     except InvalidArgumentError as exc:

@@ -113,7 +113,11 @@ def write_values(path: str | Path, values: Iterable[float]) -> None:
 
 
 def read_values(path: str | Path) -> np.ndarray:
-    """Parse a one-value-per-line file (blank lines and ``#`` comments skipped)."""
+    """Parse a one-value-per-line file (blank lines and ``#`` comments skipped).
+
+    Every value must be a finite number; ``nan`` and ``inf`` are rejected
+    with the offending ``path:line``.
+    """
     out = []
     try:
         with Path(path).open("r", encoding="utf-8") as handle:
@@ -122,11 +126,14 @@ def read_values(path: str | Path) -> np.ndarray:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    out.append(float(line))
+                    value = float(line)
                 except ValueError:
                     raise InvalidArgumentError(
                         f"{path}:{lineno}: not a number: {line!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise InvalidArgumentError(f"{path}:{lineno}: not finite: {line!r}")
+                out.append(value)
     except OSError as exc:
         raise InvalidArgumentError(f"cannot read points file {path}: {exc}") from None
     return np.asarray(out, dtype=np.float64)

@@ -18,11 +18,7 @@ class EmptyDistancesError(SpecentError):
 
 
 class DegenerateRangeError(SpecentError):
-    """All distances coincide, so the log-bin range has zero width."""
-
-
-class DegenerateCentersError(SpecentError):
-    """Bin centers span zero width on the log axis."""
+    """The distance extrema have equal logs, so the log-bin range has zero width."""
 
 
 class DegenerateSpectrumError(SpecentError):

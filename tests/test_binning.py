@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from specent import (
     DegenerateRangeError,
@@ -12,6 +12,7 @@ from specent import (
     log_bin,
     rescale_invariance_check,
 )
+from specent.binning import MAX_BINS
 
 from oracles import oracle_log_bin
 
@@ -24,6 +25,11 @@ distance_lists = st.lists(
 
 def _multiset(values):
     return DistanceMultiset.from_values(values)
+
+
+def log_range_collapsed(dm) -> bool:
+    v = dm.values
+    return math.log(v[0]) == math.log(v[-1])
 
 
 def test_matches_oracle_small_cases():
@@ -41,6 +47,10 @@ def test_matches_oracle_small_cases():
 
 @given(values=distance_lists, M=st.integers(min_value=2, max_value=64))
 def test_matches_oracle_property(values, M):
+    if log_range_collapsed(_multiset(values)):
+        with pytest.raises(DegenerateRangeError):
+            log_bin(_multiset(values), M)
+        return
     got = log_bin(_multiset(values), M)
     probs, centers = oracle_log_bin(values, M)
     # Interior knife-edge assignments can differ by rounding; compare counts
@@ -82,6 +92,17 @@ def test_empty_multiset_message():
 def test_degenerate_range():
     with pytest.raises(DegenerateRangeError):
         log_bin(_multiset([5.0, 5.0, 5.0]), 8)
+    # Distinct distances whose logarithms round to the same float.
+    values = [1e-3, 1e-3 * (1 + 2**-52)]
+    assert values[0] < values[1] and math.log(values[0]) == math.log(values[1])
+    with pytest.raises(DegenerateRangeError):
+        log_bin(_multiset(values), 8)
+
+
+def test_m_above_cap_rejected():
+    log_bin(_multiset([1.0, 2.0]), MAX_BINS)
+    with pytest.raises(InvalidArgumentError, match="at most"):
+        log_bin(_multiset([1.0, 2.0]), MAX_BINS + 1)
 
 
 def test_m_below_two_rejected():
@@ -106,12 +127,21 @@ def boundary_collision(dm, M) -> bool:
 
 
 @given(values=distance_lists, c=st.sampled_from([1e-3, 7.0, 1e3]))
+@example(values=[1.0, 1.0000000000000002], c=1e-3)
 def test_scale_invariance_of_probabilities(values, c):
     dm = _multiset(values)
-    if boundary_collision(dm, 16) or boundary_collision(dm.scaled(c), 16):
+    scaled_dm = dm.scaled(c)
+    for m in (dm, scaled_dm):
+        if log_range_collapsed(m):
+            # Rounding can merge the logs of adjacent floats: that is a
+            # degenerate range, not a binning to compare.
+            with pytest.raises(DegenerateRangeError):
+                log_bin(m, 16)
+            return
+    if boundary_collision(dm, 16) or boundary_collision(scaled_dm, 16):
         return  # invariance is not claimed on knife edges
     base = log_bin(dm, 16)
-    scaled = log_bin(dm.scaled(c), 16)
+    scaled = log_bin(scaled_dm, 16)
     assert base.counts.tolist() == scaled.counts.tolist()
     assert rescale_invariance_check(dm, c, 16)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from specent import write_values
+from specent.binning import MAX_BINS
 from specent.cli import main
 
 from oracles import oracle_pipeline, oracle_primes_in_window
@@ -176,6 +177,35 @@ def test_exit_2_message_cites_minimum_m(capsys):
     assert "at least 2" in err
 
 
+def test_m_above_cap_exits_2(tmp_path, capsys):
+    for M in (str(MAX_BINS + 1), "1e9"):
+        code, _, err = run(["entropy", "--p", "101", "--R", "50", "--M", M,
+                            "--prime-limit", "2000", "--out", str(tmp_path / "r.json")], capsys)
+        assert code == 2
+        assert f"at most {MAX_BINS}" in err
+        assert not (tmp_path / "r.json").exists()
+    code, _, _ = run(["entropy", "--p", "101", "--R", "50", "--M", str(MAX_BINS),
+                      "--prime-limit", "2000", "--out", str(tmp_path / "r.json")], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--p", "101", "--R", "50", "--M", "8", "--prime-limit", "2000"],
+    ["null", "--R", "1e2", "--reps", "4", "--seed", "1"],
+    ["cramer", "--N", "1e5", "--R", "1e2", "--M", "8", "--seed", "1"],
+    ["stability", "--p", "101", "--M", "8", "--R-grid", "50,100"],
+    ["deviation", "--p", "101", "--R", "50", "--M", "8", "--reps", "4", "--seed", "1"],
+    ["ensemble", "--m", "2", "--samples", "3", "--range", "1e3:2e3", "--R", "1e2",
+     "--M", "8", "--seed", "1"],
+])
+def test_threads_below_one_exits_2(argv, threads, tmp_path, capsys):
+    code, _, err = run(argv + [f"--threads={threads}", "--out", str(tmp_path / "r.json")], capsys)
+    assert code == 2
+    assert "--threads must be at least 1" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_exit_1_on_pipeline_errors(capsys):
     code, _, err = run(["entropy", "--p", "2", "--R", "0.5", "--M", "8",
                         "--prime-limit", "100"], capsys)
@@ -230,6 +260,13 @@ def test_malformed_points_file_exits_2(tmp_path, capsys):
                         "--points-file", str(tmp_path / "missing.txt")], capsys)
     assert code == 2
     assert "cannot read" in err
+
+    for token in ("nan", "inf", "-inf"):
+        bad.write_text(f"1.0\n# comment\n3.0\n{token}\n5.0\n")
+        code, _, err = run(["entropy", "--p", "0", "--R", "10", "--M", "4",
+                            "--points-file", str(bad)], capsys)
+        assert code == 2
+        assert f"{bad}:4:" in err and "not finite" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,8 +21,7 @@ from test_spectrum import binning_from_probs
 
 
 def spectrum_of(amplitudes):
-    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-    return Spectrum(amplitudes=amplitudes, source_centers=np.linspace(0.0, 1.0, amplitudes.size))
+    return Spectrum(amplitudes=np.asarray(amplitudes, dtype=np.complex128))
 
 
 def test_point_mass_probs_give_log_m():

@@ -53,7 +53,6 @@ from .nullmodel import (
     estimate_null_entropy,
     load_null_baseline,
     null_entropy_once,
-    simulate_poisson_distances,
     write_baseline,
 )
 from .primes import PrimeTable, first_n_primes, primes_in_window, sieve_up_to
@@ -103,7 +102,6 @@ __all__ = [
     "rescale_invariance_check",
     "sieve_up_to",
     "simulate_cramer_set",
-    "simulate_poisson_distances",
     "spectral_entropy",
     "stability_profile",
     "truncated_distances",

@@ -52,6 +52,16 @@ class LogBinning:
         }
 
 
+def _check_bins(M) -> int:
+    """``M`` as an int, or InvalidArgumentError outside ``[2, MAX_BINS]``."""
+    M = int(M)
+    if M < 2:
+        raise InvalidArgumentError(f"M must be at least 2, got {M}")
+    if M > MAX_BINS:
+        raise InvalidArgumentError(f"M must be at most {MAX_BINS}, got {M}")
+    return M
+
+
 def log_bin(distances: DistanceMultiset, M: int) -> LogBinning:
     """Histogram ``distances`` into ``M`` log-spaced bins between its extrema.
 
@@ -67,11 +77,7 @@ def log_bin(distances: DistanceMultiset, M: int) -> LogBinning:
     DegenerateRangeError
         If the extrema have equal logarithms (zero-width log range).
     """
-    M = int(M)
-    if M < 2:
-        raise InvalidArgumentError(f"M must be at least 2, got {M}")
-    if M > MAX_BINS:
-        raise InvalidArgumentError(f"M must be at most {MAX_BINS}, got {M}")
+    M = _check_bins(M)
     v = distances.values
     if v.size == 0:
         raise EmptyDistancesError("No distances available")
@@ -83,23 +89,25 @@ def log_bin(distances: DistanceMultiset, M: int) -> LogBinning:
         raise DegenerateRangeError(
             f"distances span [{d_min!r}, {d_max!r}], a zero-width log range"
         )
-    span = log_max - log_min
-    log_edges = log_min + (np.arange(M + 1, dtype=np.float64) / M) * span
+    idx = np.floor(M * (np.log(v) - log_min) / (log_max - log_min)).astype(np.int64)
+    np.clip(idx, 0, M - 1, out=idx)
+    return _from_counts(np.bincount(idx, minlength=M), log_min, log_max)
+
+
+def _from_counts(counts: np.ndarray, log_min: float, log_max: float) -> LogBinning:
+    """The :class:`LogBinning` of ``counts`` over ``M = counts.size`` equal log
+    bins spanning ``[log_min, log_max]``."""
+    M = int(counts.size)
+    log_edges = log_min + (np.arange(M + 1, dtype=np.float64) / M) * (log_max - log_min)
     log_edges[0] = log_min
     log_edges[M] = log_max
-
-    idx = np.floor(M * (np.log(v) - log_min) / span).astype(np.int64)
-    np.clip(idx, 0, M - 1, out=idx)
-    counts = np.bincount(idx, minlength=M)
-    probs = counts / v.size
-    centers = 0.5 * (log_edges[:-1] + log_edges[1:])
     return LogBinning(
         M=M,
         log_edges=log_edges,
         edges=np.exp(log_edges),
-        centers=centers,
+        centers=0.5 * (log_edges[:-1] + log_edges[1:]),
         counts=counts,
-        probs=probs,
+        probs=counts / counts.sum(),
     )
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -55,7 +54,7 @@ SCHEMA_PREFIX = "specent/v1"
 
 # Arguments that steer execution or file placement but do not affect the
 # computed result; kept out of manifest["parameters"] so runs that differ
-# only in worker count or output path produce comparable payloads.
+# only in --threads or output path produce comparable payloads.
 _EXECUTION_KEYS = {"func", "subcommand", "format", "out", "threads", "baseline_out"}
 
 
@@ -96,7 +95,7 @@ def _add_output_args(sub) -> None:
 
 def _add_threads_arg(sub) -> None:
     sub.add_argument("--threads", type=_int_arg, default=None,
-                     help="worker threads (default: CPU count); results do not depend on it")
+                     help="accepted for compatibility; has no effect (every loop runs serially)")
 
 
 def _add_prime_source_args(sub, with_points_file: bool = False) -> None:
@@ -202,12 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_ensemble)
 
     return parser
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return os.cpu_count() or 1
 
 
 def _check_finite(name: str, *values: float, positive: bool = False) -> None:
@@ -325,7 +318,7 @@ def cmd_null(args) -> int:
         config = PoissonConfig(intensity=args.intensity, radius=max(args.R_grid),
                                seed=args.seed)
         reps = args.reps if args.reps is not None else 20
-        report = check_bin_stabilization(config, args.R_grid, reps, workers=_threads(args))
+        report = check_bin_stabilization(config, args.R_grid, reps)
         header = ("R", "mean_abs_log_dmax_gap", "mean_log_dmin", "mean_dmin", "stderr_dmin")
         rows = list(zip(report.radii, report.mean_abs_log_dmax_gap,
                         report.mean_log_dmin, report.mean_dmin, report.stderr_dmin))
@@ -340,7 +333,7 @@ def cmd_null(args) -> int:
     if args.reps is None:
         raise InvalidArgumentError("--reps is required unless --check-stabilization is given")
     config = PoissonConfig(intensity=args.intensity, radius=args.R, seed=args.seed)
-    estimate = estimate_null_entropy(args.M, config, args.reps, workers=_threads(args))
+    estimate = estimate_null_entropy(args.M, config, args.reps)
     outputs_extra = []
     if args.baseline_out is not None:
         write_baseline(baseline_from_estimate(estimate), args.baseline_out)
@@ -371,7 +364,7 @@ def cmd_stability(args) -> int:
     _check_finite("R-grid", *args.R_grid, positive=True)
     reach = max(args.R_grid)
     table = _prime_table(args, args.p - reach, args.p + reach)
-    profile = stability_profile(args.p, args.M, args.R_grid, table, workers=_threads(args))
+    profile = stability_profile(args.p, args.M, args.R_grid, table)
     rows = list(zip(profile.radii, profile.H_values, profile.envelope))
     _emit(args, "stability_profile", profile.to_dict(), ("R", "H", "tail_envelope"), rows)
     for radius, h, env in rows:
@@ -387,8 +380,7 @@ def cmd_deviation(args) -> int:
         null_config = PoissonConfig(intensity=args.intensity, radius=args.R, seed=args.seed)
     else:
         null_config = matched_null_config(args.p, args.R, args.seed)
-    profile = deviation_profile(args.p, args.M, args.R, table, null_config, args.reps,
-                                workers=_threads(args))
+    profile = deviation_profile(args.p, args.M, args.R, table, null_config, args.reps)
     header = ("p", "M", "R", "H", "null_mean", "null_stderr", "delta", "z_score")
     row = (profile.base_point, profile.M, profile.radius, profile.H_prime,
            profile.null_mean, profile.null_stderr, profile.delta, profile.z_score)
@@ -405,7 +397,7 @@ def cmd_ensemble(args) -> int:
     table = _prime_table(args, lo - args.R, hi + args.R)
     dist = ensemble_distribution(args.m, args.samples, (lo, hi), args.R, args.M,
                                  args.seed, table, center=args.center,
-                                 hist_bins=args.hist_bins, workers=_threads(args))
+                                 hist_bins=args.hist_bins)
     rows = [(i + 1, h) for i, h in enumerate(dist.samples)]
     _emit(args, "ensemble_distribution", dist.to_dict(), ("sample", "H"), rows)
     median = dist.quantiles[QUANTILE_LEVELS.index(0.5)]

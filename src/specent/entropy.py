@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .binning import log_bin
+from .binning import LogBinning, log_bin
 from .distances import DistanceMultiset
 from .errors import DegenerateSpectrumError
 from .spectrum import Spectrum, log_spectrum
@@ -80,11 +80,16 @@ def full_pipeline(
 ) -> EntropyReport:
     """Bin, transform, and compress a distance multiset to its entropy.
 
-    Single entry point shared by the null models, the experiments and the
-    CLI; errors from the individual stages propagate unchanged.
+    Single entry point shared by the Cramér model, the experiments and the
+    CLI (the Poisson null draws its counts and joins after binning); errors
+    from the individual stages propagate unchanged.
     """
-    spectrum = log_spectrum(log_bin(distances, M))
     prov = {"radius": float(distances.radius), "count": len(distances)}
     if provenance:
         prov.update(provenance)
-    return spectral_entropy(spectrum, squared=squared, provenance=prov)
+    return _binned_entropy(log_bin(distances, M), squared=squared, provenance=prov)
+
+
+def _binned_entropy(binning: LogBinning, **options) -> EntropyReport:
+    """The stages after binning; the Poisson null enters here with drawn counts."""
+    return spectral_entropy(log_spectrum(binning), **options)

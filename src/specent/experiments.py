@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .binning import MAX_BINS
 from .distances import aggregate_distances, truncated_distances
 from .entropy import full_pipeline
 from .errors import InvalidArgumentError
@@ -131,7 +132,6 @@ def stability_profile(
     M: int,
     radii: Sequence[float],
     table: PrimeTable,
-    workers: int | None = None,
 ) -> StabilityProfile:
     """Entropy of the configuration around ``p`` at every radius in the grid."""
     radii = np.asarray([float(r) for r in radii], dtype=np.float64)
@@ -143,7 +143,7 @@ def stability_profile(
     def entropy_at(r: float) -> float:
         return full_pipeline(truncated_distances(p, table, r), M).H
 
-    H = np.asarray(ordered_map(entropy_at, radii, workers), dtype=np.float64)
+    H = np.asarray(ordered_map(entropy_at, radii), dtype=np.float64)
     # Tail envelope: max pairwise |H_i - H_j| over {radii >= radii[i]} equals
     # the suffix range of H.
     suffix_max = np.maximum.accumulate(H[::-1])[::-1]
@@ -161,7 +161,6 @@ def deviation_profile(
     table: PrimeTable,
     null_config: PoissonConfig,
     replicates: int,
-    workers: int | None = None,
 ) -> DeviationProfile:
     """Entropy gap between the configuration around ``p`` and a Poisson null.
 
@@ -170,7 +169,7 @@ def deviation_profile(
     :func:`matched_null_config` builds exactly that.
     """
     H_prime = full_pipeline(truncated_distances(p, table, R), M).H
-    estimate: NullEstimate = estimate_null_entropy(M, null_config, replicates, workers)
+    estimate: NullEstimate = estimate_null_entropy(M, null_config, replicates)
     delta = H_prime - estimate.mean_H
     z = delta / estimate.std_error if estimate.std_error > 0 else math.inf
     return DeviationProfile(
@@ -206,7 +205,6 @@ def ensemble_distribution(
     center: bool = False,
     baseline: NullBaseline | None = None,
     hist_bins: int = 20,
-    workers: int | None = None,
 ) -> EnsembleDistribution:
     """Entropies of seeded uniform m-subsets of the primes in ``prime_range``.
 
@@ -221,6 +219,10 @@ def ensemble_distribution(
         raise InvalidArgumentError(f"m must be at least 1, got {m}")
     if sample_count < 1:
         raise InvalidArgumentError(f"sample_count must be at least 1, got {sample_count}")
+    if not 1 <= hist_bins <= MAX_BINS:
+        raise InvalidArgumentError(
+            f"hist_bins must be at least 1 and at most {MAX_BINS}, got {hist_bins}"
+        )
     lo, hi = float(prime_range[0]), float(prime_range[1])
     if not lo < hi:
         raise InvalidArgumentError(f"invalid prime range [{lo}, {hi}]")
@@ -235,7 +237,7 @@ def ensemble_distribution(
         chosen = rng.choice(candidates, size=m, replace=False)
         return full_pipeline(aggregate_distances(chosen, table, R), M).H
 
-    samples = np.asarray(ordered_map(sample_entropy, range(sample_count), workers))
+    samples = np.asarray(ordered_map(sample_entropy, range(sample_count)))
     baseline_mean = None
     if center:
         if baseline is None:

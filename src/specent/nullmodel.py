@@ -1,12 +1,14 @@
 """Homogeneous Poisson null model for log-distance entropy.
 
-A realization is the cumulative sum of i.i.d. exponential gaps starting at
-the conditioned point 0, truncated at radius ``R``; since 0 belongs to the
-process, distances to the origin are exactly the points themselves.
-
-Replicate ``i`` of a run with base seed ``s`` draws from the Philox
-sub-stream ``spawn_key=(i,)`` of ``s`` (see :mod:`specent.rng`), so
-estimates are reproducible and independent of thread count.
+With the process conditioned on a point at 0, the distances are
+``n ~ Poisson(lambda R)`` i.i.d. uniform points on ``(0, R]``.  The entropy
+reads only their ``M`` log-bin counts, which are drawn exactly in O(M):
+``d_max = R U^(1/n)``; ``d_min = d_max (1 - V^(1/(n-1)))``, the least of
+the other points; and the ``n - 2`` points left are uniform between them,
+so with ``s = log(d_max / d_min)`` their counts are multinomial with bin
+``j`` weighted by ``exp(s j / M)``.  So ``lambda`` and ``R`` matter only
+through ``lambda R``.  Replicate ``i`` of base seed ``s`` draws from the
+Philox sub-stream ``spawn_key=(i,)`` of ``s`` (see :mod:`specent.rng`).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .distances import DistanceMultiset
-from .entropy import EntropyReport, full_pipeline
+from .binning import _check_bins, _from_counts
+from .entropy import EntropyReport, _binned_entropy
 from .errors import (
     ConfigurationError,
     DegenerateRangeError,
@@ -38,6 +40,10 @@ _BASELINE_RESOURCE = "null_baseline_M50.json"
 # Fraction of degenerate replicates tolerated before an estimate aborts.
 _DEGENERATE_TOLERANCE = 0.01
 
+# Largest supported expected point count ``intensity * radius``; numpy's
+# Poisson sampler rejects means above about 9.2e18.
+MAX_LAMBDA_R = 1e18
+
 
 @dataclass(frozen=True)
 class PoissonConfig:
@@ -52,6 +58,11 @@ class PoissonConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
+        if self.intensity * self.radius > MAX_LAMBDA_R:
+            raise InvalidArgumentError(
+                f"intensity*radius must be at most {MAX_LAMBDA_R:g}, "
+                f"got {self.intensity * self.radius:g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -108,52 +119,48 @@ class StabilizationReport:
         }
 
 
-def simulate_poisson_distances(config: PoissonConfig, replicate: int = 0) -> DistanceMultiset:
-    """One realization of the truncated Poisson log-distance configuration.
+def _extrema(config: PoissonConfig, replicate: int):
+    """Draw replicate ``replicate``'s point count and extrema.
 
-    Gaps are drawn in chunks sized from the expected count; the chunking
-    policy is a pure function of the configuration, so the realization is
-    bit-reproducible from ``(seed, replicate)``.
+    Returns the replicate's generator (positioned after the draws), the
+    count ``n``, ``log d_max`` and ``log(d_max / d_min)``; a single point
+    gives a zero log ratio.
     """
     rng = generator(config.seed, replicate)
-    lam = config.intensity
-    R = config.radius
-    expected = lam * R
-    chunk = int(expected + 10.0 * math.sqrt(expected)) + 16
-    follow_up = max(16, chunk // 4)
-    total = 0.0
-    parts = []
-    while True:
-        gaps = rng.exponential(scale=1.0 / lam, size=chunk)
-        cum = total + np.cumsum(gaps)
-        parts.append(cum)
-        total = float(cum[-1])
-        if total > R:
-            break
-        chunk = follow_up
-    points = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    points = points[points <= R]
-    return DistanceMultiset(values=points, radius=float(R), base_points=(0.0,))
+    n = int(rng.poisson(config.intensity * config.radius))
+    if n == 0:
+        raise EmptyDistancesError(f"empty realization at R={config.radius}")
+    log_max = math.log(config.radius) + math.log1p(-rng.random()) / n
+    if n == 1:
+        return rng, n, log_max, 0.0
+    # log(1 - V^(1/(n-1))) through expm1, which stays exact when n is huge;
+    # V = 0 puts d_min at d_max.
+    v = rng.random()
+    t = math.log(v) / (n - 1) if v > 0 else -math.inf
+    return rng, n, log_max, -math.log(-math.expm1(t))
 
 
 def null_entropy_once(config: PoissonConfig, M: int, replicate: int = 0) -> EntropyReport:
-    """Full pipeline applied to a single simulated realization."""
-    dm = simulate_poisson_distances(config, replicate)
-    provenance = {
-        "model": "poisson",
-        "lambda": float(config.intensity),
-        "R": float(config.radius),
-        "seed": int(config.seed),
-        "replicate": int(replicate),
-    }
-    return full_pipeline(dm, M, provenance=provenance)
+    """Entropy of one replicate, from its bin counts drawn exactly."""
+    M = _check_bins(M)
+    rng, n, log_max, log_ratio = _extrema(config, replicate)
+    if log_ratio == 0.0:
+        raise DegenerateRangeError(f"{n} point(s) with equal log distances")
+    weights = np.exp(log_ratio * (np.arange(1, M + 1) - M) / M)
+    counts = rng.multinomial(n - 2, weights / weights.sum())
+    counts[0] += 1
+    counts[-1] += 1
+    provenance = {"radius": float(config.radius), "count": n, "model": "poisson",
+                  "lambda": float(config.intensity), "R": float(config.radius),
+                  "seed": int(config.seed), "replicate": int(replicate)}
+    binning = _from_counts(counts, log_max - log_ratio, log_max)
+    return _binned_entropy(binning, provenance=provenance)
 
 
 def estimate_null_entropy(
     M: int,
     config: PoissonConfig,
     replicates: int,
-    workers: int | None = None,
 ) -> NullEstimate:
     """Mean and standard error of the null entropy over seeded replicates.
 
@@ -171,7 +178,7 @@ def estimate_null_entropy(
         except (EmptyDistancesError, DegenerateRangeError):
             return None
 
-    results = ordered_map(one, range(replicates), workers)
+    results = ordered_map(one, range(replicates))
     values = np.asarray([h for h in results if h is not None], dtype=np.float64)
     degenerate = replicates - values.size
     if degenerate > _DEGENERATE_TOLERANCE * replicates or values.size < 2:
@@ -198,7 +205,6 @@ def check_bin_stabilization(
     config: PoissonConfig,
     radii: Sequence[float],
     replicates: int,
-    workers: int | None = None,
 ) -> StabilizationReport:
     """Sample extrema behavior across an increasing radius grid.
 
@@ -217,37 +223,25 @@ def check_bin_stabilization(
     def extrema(task: tuple[int, int]) -> tuple[float, float]:
         i, j = task
         cfg = replace(config, radius=float(radii[i]))
-        v = simulate_poisson_distances(cfg, replicate=i * replicates + j).values
-        if v.size == 0:
-            raise ConfigurationError(
-                f"empty realization at R={radii[i]}; intensity*radius too small"
-            )
-        return float(v[0]), float(v[-1])
+        try:
+            _, _, log_max, log_ratio = _extrema(cfg, i * replicates + j)
+        except EmptyDistancesError as exc:
+            raise ConfigurationError(f"{exc}; intensity*radius too small") from None
+        return log_max - log_ratio, log_max
 
     tasks = [(i, j) for i in range(radii.size) for j in range(replicates)]
-    results = ordered_map(extrema, tasks, workers)
-
-    gap_means = np.empty(radii.size)
-    log_dmin_means = np.empty(radii.size)
-    dmin_means = np.empty(radii.size)
-    dmin_stderr = np.empty(radii.size)
-    for i, R in enumerate(radii):
-        block = results[i * replicates : (i + 1) * replicates]
-        d_min = np.asarray([b[0] for b in block])
-        d_max = np.asarray([b[1] for b in block])
-        gap_means[i] = float(np.mean(np.abs(np.log(d_max) - math.log(R))))
-        log_dmin_means[i] = float(np.mean(np.log(d_min)))
-        dmin_means[i] = float(np.mean(d_min))
-        dmin_stderr[i] = float(np.std(d_min, ddof=1) / math.sqrt(d_min.size))
+    logs = np.asarray(ordered_map(extrema, tasks)).reshape(radii.size, replicates, 2)
+    log_dmin, log_dmax = logs[..., 0], logs[..., 1]
+    d_min = np.exp(log_dmin)
     return StabilizationReport(
         intensity=float(config.intensity),
         seed=int(config.seed),
         replicates=int(replicates),
         radii=radii,
-        mean_abs_log_dmax_gap=gap_means,
-        mean_log_dmin=log_dmin_means,
-        mean_dmin=dmin_means,
-        stderr_dmin=dmin_stderr,
+        mean_abs_log_dmax_gap=np.abs(log_dmax - np.log(radii)[:, None]).mean(axis=1),
+        mean_log_dmin=log_dmin.mean(axis=1),
+        mean_dmin=d_min.mean(axis=1),
+        stderr_dmin=d_min.std(axis=1, ddof=1) / math.sqrt(replicates),
     )
 
 

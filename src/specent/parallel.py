@@ -1,22 +1,20 @@
-"""Order-preserving parallel map used for replicate fan-out.
+"""Order-preserving map used by every replicate, radius and sample loop.
 
 Each work item carries its own RNG sub-stream, so results depend only on
-the item index; collecting them in submission order keeps every aggregate
-bit-identical whatever the worker count.
+the item index.  Items run serially in the caller's thread: every item is
+a few small numpy calls, which threads did not speed up.  ``workers`` is
+accepted and ignored, because the benchmark's layer tracer
+(``perfbench/tracing.py``) wraps this function and passes it a third
+positional argument.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int | None = None) -> list[R]:
-    items = list(items)
-    if workers is None or workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]

@@ -13,6 +13,8 @@ Definitions implemented:
   * spectrum: mu(k) = sum_j p_j exp(-2 pi i (k-1) (x_j - x_1) / (x_M - x_1))
   * entropy: H = -sum over {k : w_k > 0} of w_k log w_k with
     w_k = |mu(k)| / sum_l |mu(l)|, no additive epsilon
+  * Poisson null: the points of a rate-lambda process on (0, R], built by
+    renewal (cumulative sums of exponential gaps from 0)
 """
 
 from __future__ import annotations
@@ -76,6 +78,25 @@ def oracle_is_prime(n: int) -> bool:
 def oracle_primes_in_window(lo: int, hi: int) -> list:
     """All primes in [lo, hi] by Miller-Rabin on every integer."""
     return [n for n in range(max(lo, 0), hi + 1) if oracle_is_prime(n)]
+
+
+def oracle_poisson_distances(lam: float, R: float, seed: int, replicate: int) -> np.ndarray:
+    """Renewal simulation of a rate-``lam`` Poisson process on ``(0, R]``.
+
+    Draws exponential gaps from Philox sub-stream ``spawn_key=(replicate,)``
+    of ``seed`` until their running sum passes ``R``; returns the sorted
+    points, which are the distances to the conditioned point 0.
+    """
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(replicate,))
+    rng = np.random.Generator(np.random.Philox(seq))
+    chunk = int(lam * R + 10.0 * math.sqrt(lam * R)) + 16
+    parts, total = [], 0.0
+    while total <= R:
+        points = total + np.cumsum(rng.exponential(scale=1.0 / lam, size=chunk))
+        parts.append(points)
+        total = float(points[-1])
+    points = np.concatenate(parts)
+    return points[points <= R]
 
 
 def oracle_distances(p: float, points, R: float) -> list:

@@ -312,6 +312,38 @@ def test_negative_seed_exits_2(argv, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["null", "--lambda", "1e10", "--R", "1e10", "--reps", "4", "--seed", "1"],
+    ["null", "--lambda", "1e10", "--check-stabilization", "--R-grid", "1e2,1e10",
+     "--seed", "1"],
+    ["deviation", "--p", "101", "--R", "1e3", "--M", "50", "--reps", "4", "--seed", "1",
+     "--lambda", "1e16"],
+])
+def test_lambda_r_above_cap_exits_2(argv, tmp_path, capsys):
+    # Run against a tree with the cap only: without it these ask for about
+    # lambda*R random draws.
+    code, _, err = run(argv + ["--out", str(tmp_path / "r.json")], capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert "intensity*radius must be at most" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("bins", ["0", "-3", str(MAX_BINS + 1)])
+def test_hist_bins_out_of_range_exits_2(bins, tmp_path, capsys):
+    # The range is checked before any sample is drawn or histogram allocated.
+    argv = ["ensemble", "--m", "2", "--samples", "3", "--range", "1e4:2e4", "--R", "1e3",
+            "--M", "50", "--seed", "1", f"--hist-bins={bins}",
+            "--out", str(tmp_path / "r.json")]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert f"hist_bins must be at least 1 and at most {MAX_BINS}" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_window_source_clamps_at_zero_and_matches_full_table(tmp_path, capsys):
     # p < R: the window [p - R, p + R] starts below 0 and is clamped.
     paths = [tmp_path / "window.json", tmp_path / "full.json"]

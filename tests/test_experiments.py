@@ -61,8 +61,8 @@ def test_deviation_identity_and_matching(table):
 
 
 def test_ensemble_determinism_and_summaries(table):
-    a = ensemble_distribution(4, 30, (10**4, 10**5), 1e4, 50, 7, table, workers=4)
-    b = ensemble_distribution(4, 30, (10**4, 10**5), 1e4, 50, 7, table, workers=1)
+    a = ensemble_distribution(4, 30, (10**4, 10**5), 1e4, 50, 7, table)
+    b = ensemble_distribution(4, 30, (10**4, 10**5), 1e4, 50, 7, table)
     assert np.array_equal(a.samples, b.samples)
 
     samples = np.asarray(a.samples)
@@ -141,6 +141,6 @@ def test_quantile_agreement_across_seeds(table):
     # a coarse resampling band.
     medians = []
     for seed in range(6):
-        dist = ensemble_distribution(3, 40, (10**4, 10**5), 1e4, 50, seed, table, workers=4)
+        dist = ensemble_distribution(3, 40, (10**4, 10**5), 1e4, 50, seed, table)
         medians.append(dist.quantiles[QUANTILE_LEVELS.index(0.5)])
     assert max(medians) - min(medians) < 0.05

@@ -24,7 +24,7 @@ from .distances import (
     truncated_distances,
     write_values,
 )
-from .entropy import EntropyReport, full_pipeline, spectral_entropy
+from .entropy import EntropyReport, entropy_from_counts, full_pipeline, spectral_entropy
 from .errors import (
     ConfigurationError,
     CoverageError,
@@ -87,6 +87,7 @@ __all__ = [
     "cramer_entropy",
     "deviation_profile",
     "ensemble_distribution",
+    "entropy_from_counts",
     "estimate_null_entropy",
     "first_n_primes",
     "full_pipeline",

@@ -77,21 +77,31 @@ def log_bin(distances: DistanceMultiset, M: int) -> LogBinning:
     DegenerateRangeError
         If the extrema have equal logarithms (zero-width log range).
     """
+    counts, log_min, log_max = log_bin_counts(distances.values, M)
+    return _from_counts(counts, log_min, log_max)
+
+
+def log_bin_counts(values: np.ndarray, M: int) -> tuple[np.ndarray, float, float]:
+    """The counts of :func:`log_bin` with ``log_min`` and ``log_max``.
+
+    ``values`` may come in any order: each value's bin depends only on the
+    value and the extrema, so the counts of an unsorted array equal those
+    of its sorted copy.  Raises what :func:`log_bin` raises.
+    """
     M = _check_bins(M)
-    v = distances.values
-    if v.size == 0:
+    if values.size == 0:
         raise EmptyDistancesError("No distances available")
-    d_min = float(v[0])
-    d_max = float(v[-1])
+    d_min = float(values.min())
+    d_max = float(values.max())
     log_min = math.log(d_min)
     log_max = math.log(d_max)
     if log_min == log_max:
         raise DegenerateRangeError(
             f"distances span [{d_min!r}, {d_max!r}], a zero-width log range"
         )
-    idx = np.floor(M * (np.log(v) - log_min) / (log_max - log_min)).astype(np.int64)
+    idx = np.floor(M * (np.log(values) - log_min) / (log_max - log_min)).astype(np.int64)
     np.clip(idx, 0, M - 1, out=idx)
-    return _from_counts(np.bincount(idx, minlength=M), log_min, log_max)
+    return np.bincount(idx, minlength=M), log_min, log_max
 
 
 def _from_counts(counts: np.ndarray, log_min: float, log_max: float) -> LogBinning:

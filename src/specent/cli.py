@@ -19,6 +19,7 @@ arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -109,8 +110,15 @@ def _add_prime_source_args(sub, with_points_file: bool = False) -> None:
                            help="plain-text point coordinates, one per line")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line (no usage text), exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specent",
         description="Spectral entropy of log-binned distance distributions.",
     )
@@ -405,8 +413,14 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "M", None) is not None and not 2 <= args.M <= MAX_BINS:
         parser.error(f"--M must be at least 2 and at most {MAX_BINS}")

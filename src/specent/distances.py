@@ -75,19 +75,7 @@ def truncated_distances(p: float, table: PointSource, R: float) -> DistanceMulti
     raw array is taken to be the complete configuration, so no coverage
     check applies.
     """
-    if not (math.isfinite(p) and math.isfinite(R)):
-        raise InvalidArgumentError(f"p and R must be finite, got p = {p}, R = {R}")
-    if R <= 0:
-        raise InvalidArgumentError(f"R must be positive, got {R}")
-    if isinstance(table, PrimeTable):
-        pts = table.between(p - R, p + R)
-    else:
-        pts = _points_array(table)
-        lo = int(np.searchsorted(pts, p - R, side="left"))
-        hi = int(np.searchsorted(pts, p + R, side="right"))
-        pts = pts[lo:hi]
-    d = np.abs(pts - float(p))
-    d = np.sort(d[(d > 0) & (d <= R)])
+    d = np.sort(pooled_distances([p], table, R))
     return DistanceMultiset(values=d, radius=float(R), base_points=(p,))
 
 
@@ -97,12 +85,35 @@ def aggregate_distances(points: Sequence[float], table: PointSource, R: float) -
     Duplicated base points contribute their distances with doubled
     multiplicity, matching addition of counting measures.
     """
-    parts = [truncated_distances(p, table, R).values for p in points]
-    if parts:
-        merged = np.sort(np.concatenate(parts))
-    else:
-        merged = np.empty(0, dtype=np.float64)
-    return DistanceMultiset(values=merged, radius=float(R), base_points=tuple(points))
+    d = np.sort(pooled_distances(points, table, R))
+    return DistanceMultiset(values=d, radius=float(R), base_points=tuple(points))
+
+
+def pooled_distances(points: Sequence[float], table: PointSource, R: float) -> np.ndarray:
+    """The values of :func:`aggregate_distances`, unsorted.
+
+    The points are checked in order, and the first one that fails raises
+    what :func:`truncated_distances` raises for it.
+    """
+    parts = []
+    pts = None
+    for p in points:
+        if not (math.isfinite(p) and math.isfinite(R)):
+            raise InvalidArgumentError(f"p and R must be finite, got p = {p}, R = {R}")
+        if R <= 0:
+            raise InvalidArgumentError(f"R must be positive, got {R}")
+        if isinstance(table, PrimeTable):
+            window = table.between(p - R, p + R)
+        else:
+            if pts is None:
+                pts = _points_array(table)
+            lo = int(np.searchsorted(pts, p - R, side="left"))
+            hi = int(np.searchsorted(pts, p + R, side="right"))
+            window = pts[lo:hi]
+        # One window at a time: its temporaries stay in cache.
+        d = np.abs(window - float(p))
+        parts.append(d[(d > 0) & (d <= R)])
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
 
 
 def write_values(path: str | Path, values: Iterable[float]) -> None:

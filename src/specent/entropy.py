@@ -24,7 +24,7 @@ import numpy as np
 from .binning import LogBinning, log_bin
 from .distances import DistanceMultiset
 from .errors import DegenerateSpectrumError
-from .spectrum import Spectrum, log_spectrum
+from .spectrum import Spectrum, folded_fft, log_spectrum
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,48 @@ def spectral_entropy(
     weights contribute exactly zero and a spectrum with a single nonzero
     magnitude has entropy exactly 0.0 -- no epsilon regularization.
     """
-    a = np.abs(spectrum.amplitudes)
-    if squared:
-        a = a * a
-    total = float(a.sum())
-    if total == 0.0:
+    w, H = entropy_weights(np.abs(spectrum.amplitudes), squared=squared)
+    return EntropyReport(H=float(H), weights=w, M=int(w.size), provenance=dict(provenance or {}))
+
+
+def entropy_weights(magnitudes: np.ndarray, *, squared: bool = False):
+    """Weights and entropy of every row of a ``(..., M)`` magnitude array.
+
+    Returns ``(w, H)``, with ``w`` shaped like ``magnitudes`` and ``H`` like
+    ``magnitudes[..., 0]``.  This is the one implementation of the weights
+    and the entropy sum that :func:`spectral_entropy` reports.  Raises
+    ``DegenerateSpectrumError`` if any row sums to zero.
+    """
+    a = magnitudes * magnitudes if squared else magnitudes
+    total = a.sum(axis=-1, keepdims=True)
+    # count_nonzero and min cost less than all() on the small 1-D spectra of
+    # the null loop.
+    if np.count_nonzero(total) < total.size:
         raise DegenerateSpectrumError("all spectral magnitudes are zero")
     w = a / total
-    positive = w[w > 0]
-    H = float(-(positive * np.log(positive)).sum())
-    return EntropyReport(H=H, weights=w, M=int(w.size), provenance=dict(provenance or {}))
+    if w.min() > 0:
+        return w, _entropy_sum(w)
+    # A row with a zero weight sums its positive terms only: summing the
+    # zeros along would regroup numpy's pairwise sum and change the last bits.
+    M = w.shape[-1]
+    H = [_entropy_sum(row[row > 0]) for row in w.reshape(-1, M)]
+    return w, np.reshape(H, w.shape[:-1])
+
+
+def _entropy_sum(w: np.ndarray):
+    """``-sum w log w`` over the last axis of strictly positive weights."""
+    return -(w * np.log(w)).sum(axis=-1)
+
+
+def entropy_from_counts(counts: np.ndarray, *, squared: bool = False) -> np.ndarray:
+    """Spectral entropy of every row of a ``(..., M)`` bin-count array.
+
+    Row for row this is bit-identical to :func:`spectral_entropy` of the
+    :func:`log_spectrum` of the row's :class:`LogBinning`, without building
+    those objects.
+    """
+    probs = counts / counts.sum(axis=-1, keepdims=True)
+    return entropy_weights(np.abs(folded_fft(probs)), squared=squared)[1]
 
 
 def full_pipeline(

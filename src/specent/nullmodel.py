@@ -44,6 +44,10 @@ _DEGENERATE_TOLERANCE = 0.01
 # Poisson sampler rejects means above about 9.2e18.
 MAX_LAMBDA_R = 1e18
 
+# Largest number of replicates (or ensemble samples) one call draws, checked
+# before anything is allocated for them.
+MAX_REPLICATES = 10**7
+
 
 @dataclass(frozen=True)
 class PoissonConfig:
@@ -157,6 +161,15 @@ def null_entropy_once(config: PoissonConfig, M: int, replicate: int = 0) -> Entr
     return _binned_entropy(binning, provenance=provenance)
 
 
+def _check_replicates(replicates: int) -> None:
+    if replicates < 2:
+        raise InvalidArgumentError(f"need at least 2 replicates, got {replicates}")
+    if replicates > MAX_REPLICATES:
+        raise InvalidArgumentError(
+            f"replicates must be at most {MAX_REPLICATES}, got {replicates}"
+        )
+
+
 def estimate_null_entropy(
     M: int,
     config: PoissonConfig,
@@ -169,8 +182,7 @@ def estimate_null_entropy(
     excluded and counted; more than 1% of them aborts with a configuration
     error, the sign that ``intensity * radius`` is too small.
     """
-    if replicates < 2:
-        raise InvalidArgumentError(f"need at least 2 replicates, got {replicates}")
+    _check_replicates(replicates)
 
     def one(i: int) -> float | None:
         try:
@@ -217,8 +229,12 @@ def check_bin_stabilization(
     radii = np.asarray(sorted(float(r) for r in radii), dtype=np.float64)
     if radii.size < 1:
         raise InvalidArgumentError("need at least one radius")
-    if replicates < 2:
-        raise InvalidArgumentError(f"need at least 2 replicates, got {replicates}")
+    _check_replicates(replicates)
+    if radii.size * replicates > MAX_REPLICATES:
+        raise InvalidArgumentError(
+            f"radii x replicates must be at most {MAX_REPLICATES}, "
+            f"got {radii.size} x {replicates}"
+        )
 
     def extrema(task: tuple[int, int]) -> tuple[float, float]:
         i, j = task

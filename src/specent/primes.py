@@ -53,8 +53,8 @@ class PrimeTable:
         # clamp at 0, below every prime, keeps them in the int64 range (and
         # turns a low end of -inf into 0).
         low, high = math.ceil(max(lo, 0)), math.floor(max(hi, 0))
-        start = int(np.searchsorted(self.primes, low, side="left"))
-        stop = int(np.searchsorted(self.primes, high, side="right"))
+        start = int(self.primes.searchsorted(low, side="left"))
+        stop = int(self.primes.searchsorted(high, side="right"))
         return self.primes[start:stop]
 
 

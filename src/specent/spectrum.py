@@ -39,11 +39,23 @@ def log_spectrum(binning: LogBinning) -> Spectrum:
     ``probs`` with the last bin folded onto the first, read at
     ``(k-1) mod (M-1)``; in particular ``mu_M = mu_1 = sum(probs)``.
     """
-    probs = binning.probs
-    M = int(probs.size)
+    return Spectrum(amplitudes=folded_fft(binning.probs))
+
+
+def folded_fft(probs: np.ndarray) -> np.ndarray:
+    """The spectrum amplitudes of every row of a ``(..., M)`` probability array.
+
+    This is the one implementation of the folded FFT described in
+    :func:`log_spectrum`; the result has the shape of ``probs``.
+    """
+    M = int(probs.shape[-1])
     if M < 2:
         raise InvalidArgumentError(f"need at least 2 bins, got {M}")
-    folded = probs[:-1].copy()
-    folded[0] += probs[-1]
-    amplitudes = np.fft.fft(folded)[np.arange(M) % (M - 1)]
-    return Spectrum(amplitudes=amplitudes)
+    folded = probs[..., :-1].copy()
+    folded.T[0] += probs.T[-1]  # the first bin of every row; cheap on 1-D input
+    # Reading index (k-1) mod (M-1) appends each row's first amplitude.
+    # concatenate returns C-ordered rows; fancy indexing along the last axis
+    # would leave a 2-D result in Fortran order, and row sums over that
+    # layout regroup their terms and change the last bits.
+    transform = np.fft.fft(folded, axis=-1)
+    return np.concatenate((transform, transform[..., :1]), axis=-1)

@@ -390,3 +390,66 @@ def test_window_commands_match_full_tables(tmp_path, capsys):
         assert run(argv + ["--out", str(a)], capsys)[0] == 0
         assert run(argv + ["--prime-limit", limit, "--out", str(b)], capsys)[0] == 0
         assert validate_payload(a)["result"] == validate_payload(b)["result"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["null", "--R", "1e3", "--reps", "10000001", "--seed", "1"],
+    ["null", "--check-stabilization", "--R-grid", "1e2", "--reps", "10000001", "--seed", "1"],
+    # Two radii at 5e6 + 1 replicates each: the cap counts radii x reps.
+    ["null", "--check-stabilization", "--R-grid", "1e2,1e3", "--reps", "5000001",
+     "--seed", "1"],
+    ["deviation", "--p", "101", "--R", "1e3", "--M", "50", "--reps", "10000001", "--seed", "1"],
+    ["ensemble", "--m", "2", "--samples", "10000001", "--range", "1e4:2e4", "--R", "1e3",
+     "--M", "50", "--seed", "1"],
+])
+def test_replicates_and_samples_above_cap_exit_2(argv, tmp_path, capsys):
+    # Run against a tree with the cap only: without it these draw 1e7
+    # replicates or samples.
+    code, _, err = run(argv + ["--out", str(tmp_path / "r.json")], capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert "at most 10000000" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_usage_errors_are_one_line(capsys):
+    for argv in (["frobnicate"], ["entropy", "--p", "1"], ["null", "--seed", "x"], []):
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "error:" in err
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # Back-to-back calls share one parser; every payload must equal the one
+    # a freshly built parser gives.
+    from specent import cli
+
+    commands = [
+        ["entropy", "--p", "101", "--R", "500", "--M", "16", "--prime-limit", "2000"],
+        ["null", "--R", "1e3", "--M", "20", "--reps", "6", "--seed", "4"],
+        ["cramer", "--N", "1e5", "--R", "1e3", "--M", "20", "--seed", "4"],
+        ["stability", "--p", "101", "--M", "20", "--R-grid", "1e2,1e3"],
+        ["deviation", "--p", "101", "--R", "1e3", "--M", "20", "--reps", "6", "--seed", "4"],
+        ["ensemble", "--m", "2", "--samples", "6", "--range", "1e4:2e4", "--R", "1e3",
+         "--M", "20", "--seed", "4"],
+    ]
+
+    def payloads(fresh):
+        out = []
+        for i, argv in enumerate(commands):
+            if fresh:
+                cli._parser.cache_clear()
+            path = tmp_path / f"{'fresh' if fresh else 'cached'}_{i}.json"
+            assert run(argv + ["--out", str(path)], capsys)[0] == 0
+            payload = normalized(json.loads(path.read_text()))
+            payload["manifest"].pop("outputs")
+            out.append(payload)
+        return out
+
+    fresh = payloads(fresh=True)
+    parser = cli._parser()
+    cached = payloads(fresh=False)
+    assert cli._parser() is parser
+    assert cached == fresh

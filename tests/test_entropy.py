@@ -90,3 +90,46 @@ def test_full_pipeline_provenance(table_10k):
     assert report.provenance["count"] == 681
     assert report.provenance["model"] == "primes"
     assert report.M == 50
+
+
+def test_kernel_rows_with_zero_weights_match_spectral_entropy(rng_numpy):
+    # A row with exact-zero weights sums its positive terms only; padding
+    # with zeros would regroup the pairwise sum and move the last bits.
+    from specent.entropy import entropy_weights
+
+    for M in (4, 50, 1000):
+        rows = rng_numpy.random((12, M))
+        rows[rng_numpy.random((12, M)) < 0.3] = 0.0
+        rows[np.arange(12), rng_numpy.integers(0, M, 12)] = 1.5  # no all-zero row
+        rows[0] = 0.0
+        rows[0, M // 2] = 2.5  # one nonzero magnitude: H is exactly 0
+        rows[1] = rng_numpy.random(M) + 0.1  # no zero at all
+        for squared in (False, True):
+            w, H = entropy_weights(rows, squared=squared)
+            assert H.shape == (12,)
+            for i, row in enumerate(rows):
+                report = spectral_entropy(spectrum_of(row), squared=squared)
+                assert H[i].hex() == report.H.hex()
+                assert np.array_equal(w[i], report.weights)
+            assert H[0] == 0.0
+
+
+def test_kernel_rejects_a_zero_row_anywhere_in_the_stack():
+    from specent.entropy import entropy_weights
+
+    with pytest.raises(DegenerateSpectrumError):
+        entropy_weights(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
+
+
+def test_entropy_from_counts_matches_pipeline_rows(rng_numpy):
+    from specent import entropy_from_counts
+    from specent.binning import _from_counts
+
+    for M in (2, 3, 50, 1000):
+        counts = rng_numpy.integers(0, 5, size=(2, 3, M))
+        counts[..., 0] += 1  # no empty row
+        H = entropy_from_counts(counts)
+        assert H.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            expected = spectral_entropy(log_spectrum(_from_counts(counts[index], 0.0, 1.0))).H
+            assert H[index].hex() == expected.hex()

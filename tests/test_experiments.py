@@ -144,3 +144,85 @@ def test_quantile_agreement_across_seeds(table):
         dist = ensemble_distribution(3, 40, (10**4, 10**5), 1e4, 50, seed, table)
         medians.append(dist.quantiles[QUANTILE_LEVELS.index(0.5)])
     assert max(medians) - min(medians) < 0.05
+
+
+def _replayed_samples(m, n, prime_range, R, M, seed, table):
+    """The samples as the per-sample pipeline computes them, one at a time."""
+    from specent.rng import generator
+
+    candidates = table.between(*prime_range)
+    return [
+        full_pipeline(aggregate_distances(
+            generator(seed, i).choice(candidates, size=m, replace=False), table, R), M).H
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.mark.parametrize("M", [2, 50, 1000])
+def test_batched_samples_equal_per_sample_pipeline(table, m, M):
+    # Counts per sample plus one batched kernel must give every sample's
+    # float bits, not just a close value.
+    cases = [((10**4, 10**5), 1e4, table), ((10**4, 2 * 10**4), 300.0, table),
+             ((10**4, 2 * 10**4), 1e3, primes_in_window(9000, 21000))]
+    for prime_range, R, source in cases:
+        dist = ensemble_distribution(m, 12, prime_range, R, M, 31, source)
+        expected = _replayed_samples(m, 12, prime_range, R, M, 31, source)
+        assert [h.hex() for h in dist.samples.tolist()] == [h.hex() for h in expected]
+
+
+def test_batched_samples_span_several_kernel_blocks(table):
+    # Three blocks, the last one partial.
+    from specent.experiments import _BLOCK_VALUES
+
+    M = 2**14
+    n = 2 * (_BLOCK_VALUES // M) + 1
+    dist = ensemble_distribution(2, n, (10**4, 2 * 10**4), 1e3, M, 8, table)
+    expected = _replayed_samples(2, n, (10**4, 2 * 10**4), 1e3, M, 8, table)
+    assert [h.hex() for h in dist.samples.tolist()] == [h.hex() for h in expected]
+
+
+def test_ensemble_samples_lie_in_entropy_bounds(table):
+    # The batched kernel bypasses spectral_entropy, so the suite-wide bounds
+    # audit no longer sees these samples; check them here.
+    for M in (2, 50, 1000):
+        samples = ensemble_distribution(3, 40, (10**4, 10**5), 1e4, M, 2, table).samples
+        assert np.all(samples >= 0.0)
+        assert np.all(samples <= math.log(M))
+
+
+def _pipeline_error(m, prime_range, R, M, seed, table):
+    """The error the per-sample pipeline raises on sample 0."""
+    with pytest.raises(Exception) as info:
+        _replayed_samples(m, 1, prime_range, R, M, seed, table)
+    return info.value
+
+
+@pytest.mark.parametrize("case", [
+    # The range is covered, but a chosen base's window [p - R, p + R] is not.
+    ("coverage", 2, (10**4, 2 * 10**4), 6e3, lambda: primes_in_window(10**4, 2 * 10**4)),
+    # 23's neighbours 19 and 29 lie farther than R = 1 away.
+    ("empty", 1, (23, 28), 1.0, lambda: sieve_up_to(100)),
+    # Around 5, R = 2 reaches only 3 and 7: one distance, a zero-width log range.
+    ("degenerate", 1, (5, 6), 2.0, lambda: sieve_up_to(100)),
+])
+def test_ensemble_errors_match_per_sample_pipeline(case):
+    from specent import CoverageError, DegenerateRangeError, EmptyDistancesError
+
+    kind, m, prime_range, R, make_table = case
+    source = make_table()
+    expected = {"coverage": CoverageError, "empty": EmptyDistancesError,
+                "degenerate": DegenerateRangeError}[kind]
+    old = _pipeline_error(m, prime_range, R, 8, 0, source)
+    assert type(old) is expected
+    with pytest.raises(expected) as info:
+        ensemble_distribution(m, 5, prime_range, R, 8, 0, source)
+    assert str(info.value) == str(old)
+
+
+def test_sample_count_above_cap_is_rejected(table):
+    # Checked before any sample is drawn or any array allocated for them.
+    from specent.nullmodel import MAX_REPLICATES
+
+    with pytest.raises(InvalidArgumentError, match=f"at most {MAX_REPLICATES}"):
+        ensemble_distribution(2, MAX_REPLICATES + 1, (10**4, 10**5), 1e3, 50, 1, table)

@@ -195,3 +195,18 @@ def test_packaged_baseline_loads(monkeypatch):
     assert baseline.replicates == 500
     assert 0 < baseline.mean < math.log(50)
     assert baseline.stderr > 0
+
+
+def test_replicates_above_cap_are_rejected():
+    # Checked before any replicate is drawn or any task list is built; run
+    # against a tree with the cap only.
+    from specent.nullmodel import MAX_REPLICATES
+
+    config = PoissonConfig(intensity=1.0, radius=1e3, seed=1)
+    with pytest.raises(InvalidArgumentError, match=f"at most {MAX_REPLICATES}"):
+        estimate_null_entropy(50, config, MAX_REPLICATES + 1)
+    with pytest.raises(InvalidArgumentError, match=f"at most {MAX_REPLICATES}"):
+        check_bin_stabilization(config, (1e2, 1e3), MAX_REPLICATES + 1)
+    # The stabilization cap counts every (radius, replicate) cell.
+    with pytest.raises(InvalidArgumentError, match="radii x replicates"):
+        check_bin_stabilization(config, (1e2, 1e3), MAX_REPLICATES // 2 + 1)

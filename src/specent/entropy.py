@@ -23,7 +23,7 @@ import numpy as np
 
 from .binning import LogBinning, log_bin
 from .distances import DistanceMultiset
-from .errors import DegenerateSpectrumError
+from .errors import DegenerateSpectrumError, EmptyDistancesError, InvalidArgumentError
 from .spectrum import Spectrum, folded_fft, log_spectrum
 
 
@@ -92,15 +92,21 @@ def _entropy_sum(w: np.ndarray):
     return -(w * np.log(w)).sum(axis=-1)
 
 
-def entropy_from_counts(counts: np.ndarray, *, squared: bool = False) -> np.ndarray:
+def entropy_from_counts(counts: np.ndarray) -> np.ndarray:
     """Spectral entropy of every row of a ``(..., M)`` bin-count array.
 
     Row for row this is bit-identical to :func:`spectral_entropy` of the
     :func:`log_spectrum` of the row's :class:`LogBinning`, without building
-    those objects.
+    those objects.  Raises ``InvalidArgumentError`` if any count is
+    negative and ``EmptyDistancesError`` if any row sums to zero, where the
+    per-sample pipeline would have had no distances to bin.
     """
-    probs = counts / counts.sum(axis=-1, keepdims=True)
-    return entropy_weights(np.abs(folded_fft(probs)), squared=squared)[1]
+    if counts.min() < 0:
+        raise InvalidArgumentError("bin counts must be non-negative")
+    totals = counts.sum(axis=-1, keepdims=True)
+    if np.count_nonzero(totals) < totals.size:
+        raise EmptyDistancesError("No distances available")
+    return entropy_weights(np.abs(folded_fft(counts / totals)))[1]
 
 
 def full_pipeline(

@@ -5,6 +5,8 @@ import pytest
 
 from specent import (
     DegenerateSpectrumError,
+    EmptyDistancesError,
+    InvalidArgumentError,
     full_pipeline,
     log_spectrum,
     spectral_entropy,
@@ -119,6 +121,19 @@ def test_kernel_rejects_a_zero_row_anywhere_in_the_stack():
 
     with pytest.raises(DegenerateSpectrumError):
         entropy_weights(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
+
+
+def test_entropy_from_counts_rejects_empty_rows_and_negative_counts():
+    # An empty row must not read as a point mass (H = 0), and the per-sample
+    # pipeline raises EmptyDistancesError for the same configuration.
+    from specent import entropy_from_counts
+
+    with pytest.raises(EmptyDistancesError, match="No distances available"):
+        entropy_from_counts(np.array([[1, 2, 3], [0, 0, 0]]))
+    with pytest.raises(EmptyDistancesError):
+        entropy_from_counts(np.zeros((2, 2, 4), dtype=np.int64))
+    with pytest.raises(InvalidArgumentError, match="non-negative"):
+        entropy_from_counts(np.array([[1, 2, 3], [2, -1, 1]]))
 
 
 def test_entropy_from_counts_matches_pipeline_rows(rng_numpy):

@@ -24,7 +24,17 @@ import numpy as np
 from .binning import LogBinning, log_bin
 from .distances import DistanceMultiset
 from .errors import DegenerateSpectrumError, EmptyDistancesError, InvalidArgumentError
+from .parallel import ordered_map
 from .spectrum import Spectrum, folded_fft, log_spectrum
+
+# Most bin counts one block of rows holds, so a block's complex spectra stay
+# under 512 KiB whatever the number of rows.  Smaller blocks made ensemble
+# jobs about a third slower under glibc malloc (measured on a 2-vCPU Linux
+# VM): with blocks of 2**12 bins, each sample's arrays of about 120 KiB went
+# back to the OS and were faulted in again, about 30,000 page faults per
+# 500-sample job against about 300 at 2**15.  Freeing the larger block
+# arrays raises the allocator's trim threshold above that churn.
+_BLOCK_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -74,7 +84,7 @@ def entropy_weights(magnitudes: np.ndarray, *, squared: bool = False):
     a = magnitudes * magnitudes if squared else magnitudes
     total = a.sum(axis=-1, keepdims=True)
     # count_nonzero and min cost less than all() on the small 1-D spectra of
-    # the null loop.
+    # single reports such as full_pipeline's.
     if np.count_nonzero(total) < total.size:
         raise DegenerateSpectrumError("all spectral magnitudes are zero")
     w = a / total
@@ -109,6 +119,17 @@ def entropy_from_counts(counts: np.ndarray) -> np.ndarray:
     return entropy_weights(np.abs(folded_fft(counts / totals)))[1]
 
 
+def _entropy_of_rows(row, count: int, M: int) -> np.ndarray:
+    """Entropies of the ``M``-bin count rows ``row(i)``, ``i < count``, skipping ``None``;
+    blocks of at most ``_BLOCK_VALUES`` bins keep temporaries independent of ``count``."""
+    block = max(1, _BLOCK_VALUES // M)
+    parts = []
+    for start in range(0, count, block):
+        rows = [r for r in ordered_map(row, range(start, min(start + block, count))) if r is not None]
+        parts.append(entropy_from_counts(np.stack(rows)) if rows else np.empty(0))
+    return np.concatenate(parts)
+
+
 def full_pipeline(
     distances: DistanceMultiset,
     M: int,
@@ -118,9 +139,9 @@ def full_pipeline(
 ) -> EntropyReport:
     """Bin, transform, and compress a distance multiset to its entropy.
 
-    Single entry point shared by the Cramér model, the experiments and the
-    CLI (the Poisson null draws its counts and joins after binning); errors
-    from the individual stages propagate unchanged.
+    Single-report entry point of the Cramér model, the deviation probe and
+    the CLI; sampler loops get the same bits from count rows.  Errors from
+    the individual stages propagate unchanged.
     """
     prov = {"radius": float(distances.radius), "count": len(distances)}
     if provenance:
@@ -129,5 +150,5 @@ def full_pipeline(
 
 
 def _binned_entropy(binning: LogBinning, **options) -> EntropyReport:
-    """The stages after binning; the Poisson null enters here with drawn counts."""
+    """The stages after binning; :func:`null_entropy_once` enters here with drawn counts."""
     return spectral_entropy(log_spectrum(binning), **options)

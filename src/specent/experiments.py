@@ -15,7 +15,7 @@ import numpy as np
 
 from .binning import MAX_BINS, _check_bins, log_bin_counts
 from .distances import pooled_distances, truncated_distances
-from .entropy import entropy_from_counts, full_pipeline
+from .entropy import _entropy_of_rows, full_pipeline
 from .errors import InvalidArgumentError
 from .nullmodel import (
     MAX_REPLICATES,
@@ -25,21 +25,10 @@ from .nullmodel import (
     estimate_null_entropy,
     load_null_baseline,
 )
-from .parallel import ordered_map
 from .primes import PrimeTable
 from .rng import generator
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.95)
-
-# Most bin counts one block of ensemble samples holds, so a block's complex
-# spectra stay under 512 KiB whatever sample_count is.  Smaller blocks made
-# ensemble jobs about a third slower under glibc malloc (measured on a
-# 2-vCPU Linux VM): with blocks of 2**12 bins, each sample's arrays of about
-# 120 KiB went back to the OS and were faulted in again, about 30,000 page
-# faults per 500-sample job against about 300 at 2**15.  Freeing the larger
-# block arrays raises the allocator's trim threshold above that churn.
-_BLOCK_VALUES = 2**15
-
 
 @dataclass(frozen=True)
 class StabilityProfile:
@@ -143,17 +132,19 @@ def stability_profile(
     radii: Sequence[float],
     table: PrimeTable,
 ) -> StabilityProfile:
-    """Entropy of the configuration around ``p`` at every radius in the grid."""
+    """Entropy of the configuration around ``p`` at every radius in the grid,
+    bit-identical to :func:`full_pipeline` of each :func:`truncated_distances`."""
     radii = np.asarray([float(r) for r in radii], dtype=np.float64)
     if radii.size < 1:
         raise InvalidArgumentError("need at least one radius")
     if np.any(np.diff(radii) < 0):
         raise InvalidArgumentError("radius grid must be non-decreasing")
+    M = _check_bins(M)
 
-    def entropy_at(r: float) -> float:
-        return full_pipeline(truncated_distances(p, table, r), M).H
+    def counts_at(i: int) -> np.ndarray:
+        return log_bin_counts(pooled_distances([p], table, radii[i]), M)[0]
 
-    H = np.asarray(ordered_map(entropy_at, radii), dtype=np.float64)
+    H = _entropy_of_rows(counts_at, radii.size, M)
     # Tail envelope: max pairwise |H_i - H_j| over {radii >= radii[i]} equals
     # the suffix range of H.
     suffix_max = np.maximum.accumulate(H[::-1])[::-1]
@@ -221,11 +212,12 @@ def ensemble_distribution(
     Sample ``i`` draws from sub-stream ``spawn_key=(i,)`` of ``seed``, so
     the ensemble is reproducible and order-independent.  With ``center=True``
     every entropy is shifted by one global baseline mean (the shipped null
-    table unless ``baseline`` is given); per-sample centering is not applied.
+    table unless ``baseline`` is given), which must be at the same ``M``;
+    per-sample centering is not applied.
     ``table`` must cover ``prime_range``, or the candidates would silently
     be fewer than the primes in it.  Each sample is reduced to its ``M``
-    log-bin counts, and blocks of count rows go through
-    :func:`entropy_from_counts`; every sample equals the
+    log-bin counts, which go through :func:`entropy_from_counts` like the
+    rows of the Poisson null and the stability grid; every sample equals the
     :func:`full_pipeline` entropy of its :func:`aggregate_distances` bit for
     bit.
     """
@@ -249,25 +241,22 @@ def ensemble_distribution(
             f"only {candidates.size} primes in [{lo}, {hi}], need at least {m}"
         )
 
+    baseline_mean = None
+    if center:
+        baseline = load_null_baseline() if baseline is None else baseline
+        if baseline.M != M:
+            raise InvalidArgumentError(f"the null baseline is at M = {baseline.M}, "
+                                       f"but the ensemble is at M = {M}")
+        baseline_mean = float(baseline.mean)
+
     def sample_counts(i: int) -> np.ndarray:
         chosen = generator(seed, i).choice(candidates, size=m, replace=False)
         # As Python ints: numpy scalar arithmetic on each base would cost
         # more than slicing its window.
         return log_bin_counts(pooled_distances(chosen.tolist(), table, R), M)[0]
 
-    # Counts go through the entropy kernel in blocks of at most
-    # _BLOCK_VALUES bins, so no temporary grows with sample_count * M.
-    block = max(1, _BLOCK_VALUES // M)
-    samples = np.empty(sample_count, dtype=np.float64)
-    for start in range(0, sample_count, block):
-        stop = min(start + block, sample_count)
-        stack = np.stack(ordered_map(sample_counts, range(start, stop)))
-        samples[start:stop] = entropy_from_counts(stack)
-    baseline_mean = None
+    samples = _entropy_of_rows(sample_counts, sample_count, M)
     if center:
-        if baseline is None:
-            baseline = load_null_baseline()
-        baseline_mean = float(baseline.mean)
         samples = samples - baseline_mean
     counts, edges = np.histogram(samples, bins=hist_bins)
     quantiles = np.quantile(samples, QUANTILE_LEVELS)

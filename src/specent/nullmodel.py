@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .binning import _check_bins, _from_counts
-from .entropy import EntropyReport, _binned_entropy
+from .entropy import EntropyReport, _binned_entropy, _entropy_of_rows
 from .errors import (
     ConfigurationError,
     DegenerateRangeError,
@@ -147,6 +147,16 @@ def _extrema(config: PoissonConfig, replicate: int):
 def null_entropy_once(config: PoissonConfig, M: int, replicate: int = 0) -> EntropyReport:
     """Entropy of one replicate, from its bin counts drawn exactly."""
     M = _check_bins(M)
+    counts, n, log_min, log_max = _replicate_counts(config, M, replicate)
+    provenance = {"radius": float(config.radius), "count": n, "model": "poisson",
+                  "lambda": float(config.intensity), "R": float(config.radius),
+                  "seed": int(config.seed), "replicate": int(replicate)}
+    return _binned_entropy(_from_counts(counts, log_min, log_max), provenance=provenance)
+
+
+def _replicate_counts(config: PoissonConfig, M: int, replicate: int):
+    """Replicate ``replicate``'s ``(counts, n, log d_min, log d_max)`` over ``M`` bins;
+    raises EmptyDistancesError or DegenerateRangeError for a degenerate one."""
     rng, n, log_max, log_ratio = _extrema(config, replicate)
     if log_ratio == 0.0:
         raise DegenerateRangeError(f"{n} point(s) with equal log distances")
@@ -154,11 +164,7 @@ def null_entropy_once(config: PoissonConfig, M: int, replicate: int = 0) -> Entr
     counts = rng.multinomial(n - 2, weights / weights.sum())
     counts[0] += 1
     counts[-1] += 1
-    provenance = {"radius": float(config.radius), "count": n, "model": "poisson",
-                  "lambda": float(config.intensity), "R": float(config.radius),
-                  "seed": int(config.seed), "replicate": int(replicate)}
-    binning = _from_counts(counts, log_max - log_ratio, log_max)
-    return _binned_entropy(binning, provenance=provenance)
+    return counts, n, log_max - log_ratio, log_max
 
 
 def _check_replicates(replicates: int) -> None:
@@ -183,15 +189,15 @@ def estimate_null_entropy(
     error, the sign that ``intensity * radius`` is too small.
     """
     _check_replicates(replicates)
+    M = _check_bins(M)
 
-    def one(i: int) -> float | None:
+    def row(i: int) -> np.ndarray | None:
         try:
-            return null_entropy_once(config, M, replicate=i).H
+            return _replicate_counts(config, M, i)[0]
         except (EmptyDistancesError, DegenerateRangeError):
             return None
 
-    results = ordered_map(one, range(replicates))
-    values = np.asarray([h for h in results if h is not None], dtype=np.float64)
+    values = _entropy_of_rows(row, replicates, M)
     degenerate = replicates - values.size
     if degenerate > _DEGENERATE_TOLERANCE * replicates or values.size < 2:
         raise ConfigurationError(
@@ -236,17 +242,16 @@ def check_bin_stabilization(
             f"got {radii.size} x {replicates}"
         )
 
-    def extrema(task: tuple[int, int]) -> tuple[float, float]:
-        i, j = task
-        cfg = replace(config, radius=float(radii[i]))
+    def extrema(k: int) -> tuple[float, float]:
+        cfg = replace(config, radius=float(radii[k // replicates]))
         try:
-            _, _, log_max, log_ratio = _extrema(cfg, i * replicates + j)
+            _, _, log_max, log_ratio = _extrema(cfg, k)
         except EmptyDistancesError as exc:
             raise ConfigurationError(f"{exc}; intensity*radius too small") from None
         return log_max - log_ratio, log_max
 
-    tasks = [(i, j) for i in range(radii.size) for j in range(replicates)]
-    logs = np.asarray(ordered_map(extrema, tasks)).reshape(radii.size, replicates, 2)
+    cells = range(radii.size * replicates)
+    logs = np.asarray(ordered_map(extrema, cells)).reshape(radii.size, replicates, 2)
     log_dmin, log_dmax = logs[..., 0], logs[..., 1]
     d_min = np.exp(log_dmin)
     return StabilizationReport(

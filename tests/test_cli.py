@@ -162,6 +162,18 @@ def test_ensemble_json(tmp_path, capsys):
     assert payload["manifest"]["parameters"]["range"] == [10000, 20000]
 
 
+def test_ensemble_center_at_another_m_exits_2(tmp_path, capsys):
+    # The shipped baseline is at M = 50.
+    out = tmp_path / "e.json"
+    code, _, err = run(["ensemble", "--m", "4", "--samples", "50", "--range", "1e4:2e4",
+                        "--R", "1e3", "--M", "8", "--center", "--seed", "1",
+                        "--out", str(out)], capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "M = 50" in err and "M = 8" in err
+    assert not out.exists()
+
+
 def test_exit_2_on_validation_errors(capsys):
     assert run(["entropy", "--p", "101", "--R", "50", "--M", "1", "--prime-limit", "2000"], capsys)[0] == 2
     assert run(["null", "--R", "1e3", "--M", "50", "--reps", "1", "--seed", "1"], capsys)[0] == 2

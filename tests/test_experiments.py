@@ -6,6 +6,7 @@ import pytest
 from specent import (
     CoverageError,
     InvalidArgumentError,
+    NullBaseline,
     PoissonConfig,
     aggregate_distances,
     deviation_profile,
@@ -101,6 +102,20 @@ def test_ensemble_centering_shifts_by_baseline(table):
     assert centered.centering == "global"
 
 
+def test_ensemble_centering_needs_a_baseline_at_the_same_m(table):
+    # The shipped baseline is at M = 50; subtracting it from M = 8 entropies
+    # would shift them by a mean of another statistic.
+    with pytest.raises(InvalidArgumentError, match="M = 50.*M = 8"):
+        ensemble_distribution(4, 50, (10**4, 2 * 10**4), 1e3, 8, 1, table, center=True)
+    matched = NullBaseline(M=8, mean=1.5, stderr=0.01, intensity=1.0,
+                           radius=1e6, replicates=500, seed=1)
+    centered = ensemble_distribution(4, 50, (10**4, 2 * 10**4), 1e3, 8, 1, table,
+                                     center=True, baseline=matched)
+    plain = ensemble_distribution(4, 50, (10**4, 2 * 10**4), 1e3, 8, 1, table)
+    assert centered.baseline_mean == 1.5
+    assert np.array_equal(centered.samples, plain.samples - 1.5)
+
+
 def test_ensemble_insufficient_primes(table):
     with pytest.raises(InvalidArgumentError):
         ensemble_distribution(10, 5, (10**4, 10**4 + 20), 1e3, 50, 1, table)
@@ -173,7 +188,7 @@ def test_batched_samples_equal_per_sample_pipeline(table, m, M):
 
 def test_batched_samples_span_several_kernel_blocks(table):
     # Three blocks, the last one partial.
-    from specent.experiments import _BLOCK_VALUES
+    from specent.entropy import _BLOCK_VALUES
 
     M = 2**14
     n = 2 * (_BLOCK_VALUES // M) + 1
@@ -218,6 +233,44 @@ def test_ensemble_errors_match_per_sample_pipeline(case):
     with pytest.raises(expected) as info:
         ensemble_distribution(m, 5, prime_range, R, 8, 0, source)
     assert str(info.value) == str(old)
+
+
+@pytest.mark.parametrize("M", [2, 50, 1000])
+def test_stability_values_equal_per_radius_pipeline(table, M):
+    # Count rows plus the batched kernel must give every radius's float bits.
+    cases = [(101, (1e3, 1e4, 1e5), table), (1009, (10.0, 100.0, 1e3, 1e4, 1e4), table),
+             (15000, (100.0, 1e3, 5e3), primes_in_window(9000, 21000))]
+    for p, radii, source in cases:
+        profile = stability_profile(p, M, radii, source)
+        expected = [full_pipeline(truncated_distances(p, source, r), M).H for r in radii]
+        assert [h.hex() for h in profile.H_values.tolist()] == [h.hex() for h in expected]
+        # The kernel bypasses spectral_entropy, so the suite-wide bounds
+        # audit does not see these values; check them here.
+        assert np.all(profile.H_values >= 0.0)
+        assert np.all(profile.H_values <= math.log(M))
+
+
+@pytest.mark.parametrize("case", [
+    # The window of the second radius, [15000 - 1e4, 15000 + 1e4], is not covered.
+    ("coverage", 15000, (100.0, 1e4), lambda: primes_in_window(9000, 21000)),
+    # 23's neighbours 19 and 29 lie farther than R = 1 away.
+    ("empty", 23, (1.0, 10.0), lambda: sieve_up_to(100)),
+    # Around 5, R = 2 reaches only 3 and 7: one distance, a zero-width log range.
+    ("degenerate", 5, (2.0, 1e3), lambda: sieve_up_to(2000)),
+])
+def test_stability_errors_match_per_radius_pipeline(case):
+    from specent import DegenerateRangeError, EmptyDistancesError
+
+    kind, p, radii, make_table = case
+    source = make_table()
+    expected = {"coverage": CoverageError, "empty": EmptyDistancesError,
+                "degenerate": DegenerateRangeError}[kind]
+    with pytest.raises(expected) as old:
+        for r in radii:
+            full_pipeline(truncated_distances(p, source, r), 8)
+    with pytest.raises(expected) as new:
+        stability_profile(p, 8, radii, source)
+    assert str(new.value) == str(old.value)
 
 
 def test_sample_count_above_cap_is_rejected(table):

@@ -6,7 +6,9 @@ import pytest
 
 from specent import (
     ConfigurationError,
+    DegenerateRangeError,
     DistanceMultiset,
+    EmptyDistancesError,
     InvalidArgumentError,
     NullBaseline,
     PoissonConfig,
@@ -210,3 +212,38 @@ def test_replicates_above_cap_are_rejected():
     # The stabilization cap counts every (radius, replicate) cell.
     with pytest.raises(InvalidArgumentError, match="radii x replicates"):
         check_bin_stabilization(config, (1e2, 1e3), MAX_REPLICATES // 2 + 1)
+
+
+def _single_report_values(config, M, replicates):
+    """Every non-degenerate replicate's H from its own report, and the degenerate count."""
+    values = []
+    for i in range(replicates):
+        try:
+            values.append(null_entropy_once(config, M, replicate=i).H)
+        except (EmptyDistancesError, DegenerateRangeError):
+            pass
+    return values, replicates - len(values)
+
+
+@pytest.mark.parametrize("M", [2, 50, 1000])
+@pytest.mark.parametrize("lam_r", [1e3, 1e6, 1e18])
+def test_batched_null_values_equal_single_replicate_reports(M, lam_r):
+    # 70 replicates span three kernel blocks at M = 1000, the last partial.
+    config = PoissonConfig(intensity=1.0, radius=lam_r, seed=9)
+    est = estimate_null_entropy(M, config, 70)
+    expected, degenerate = _single_report_values(config, M, 70)
+    assert [h.hex() for h in est.per_replicate_H.tolist()] == [h.hex() for h in expected]
+    assert est.degenerate_count == degenerate
+    # The kernel bypasses spectral_entropy, so the suite-wide bounds audit
+    # does not see these values; check them here.
+    assert np.all(est.per_replicate_H >= 0.0)
+    assert np.all(est.per_replicate_H <= math.log(M))
+
+
+def test_batched_null_skips_the_same_degenerate_replicates():
+    config = PoissonConfig(intensity=1.0, radius=8.0, seed=5)
+    est = estimate_null_entropy(8, config, 2000)
+    expected, degenerate = _single_report_values(config, 8, 2000)
+    assert degenerate == 6
+    assert est.degenerate_count == degenerate
+    assert [h.hex() for h in est.per_replicate_H.tolist()] == [h.hex() for h in expected]

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .binning import MAX_BINS
-from .cramer import RESCALE_MODES, CramerConfig, cramer_entropy
+from .cramer import CramerConfig, cramer_entropy
 from .distances import read_values, truncated_distances
 from .entropy import full_pipeline
 from .errors import InvalidArgumentError, SpecentError
@@ -160,10 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=_int_arg, required=True, help="RNG seed")
     sub.add_argument("--base", type=float, default=None,
                      help="requested base coordinate (default N/2); snapped to the nearest member")
-    sub.add_argument("--rescale", action=argparse.BooleanOptionalAction, default=True,
-                     help="divide distances by the local mean gap (default on)")
-    sub.add_argument("--rescale-mode", choices=RESCALE_MODES, default="base-point",
-                     help="normalization convention when rescaling")
     _add_threads_arg(sub)
     _add_output_args(sub)
     sub.set_defaults(func=cmd_cramer)
@@ -357,10 +353,8 @@ def cmd_null(args) -> int:
 
 
 def cmd_cramer(args) -> int:
-    config = CramerConfig(N=args.N, seed=args.seed, rescale=args.rescale,
-                          rescale_mode=args.rescale_mode)
     base = args.base if args.base is not None else args.N / 2
-    report = cramer_entropy(config, base, args.R, args.M)
+    report = cramer_entropy(CramerConfig(N=args.N, seed=args.seed), base, args.R, args.M)
     rows = [(k + 1, w, report.H) for k, w in enumerate(report.weights)]
     _emit(args, "entropy_report", report.to_dict(), ("k", "weight", "H"), rows)
     print(f"H = {report.H:.12g}")

@@ -4,8 +4,9 @@ probability ``1 / log n``.
 The inclusion draw for integer ``n`` is stream position ``n`` of a Philox
 stream keyed by the seed (see :mod:`specent.rng`), so simulating any window
 of integers yields exactly the members a full-range simulation would
-produce there.  Distance windows around a base point therefore stay cheap
-for large ``N`` without weakening the determinism contract.
+produce there.  The members around a base point are then an ordinary point
+configuration for :func:`specent.distances.truncated_distances`, so large
+``N`` stays cheap without weakening the determinism contract.
 """
 
 from __future__ import annotations
@@ -15,32 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import DistanceMultiset
+from .distances import DistanceMultiset, truncated_distances
 from .entropy import EntropyReport, full_pipeline
 from .errors import ConfigurationError, CoverageError, InvalidArgumentError
+from .primes import _MAX_LIMIT
 from .rng import indexed_uniforms, stream_key
-
-RESCALE_MODES = ("base-point", "per-gap")
 
 _CHUNK = 1 << 21
 
 
 @dataclass(frozen=True)
 class CramerConfig:
-    """Simulation range ``[3, N]``, RNG seed, and gap-rescaling policy."""
+    """Simulation range ``[3, N]``, ``N <= 2**53`` (exact float64 distances), and RNG seed."""
 
     N: int
     seed: int
-    rescale: bool = True
-    rescale_mode: str = "base-point"
 
     def __post_init__(self):
-        if self.N < 3:
-            raise InvalidArgumentError(f"N must be at least 3, got {self.N}")
-        if self.rescale_mode not in RESCALE_MODES:
-            raise InvalidArgumentError(
-                f"rescale_mode must be one of {RESCALE_MODES}, got {self.rescale_mode!r}"
-            )
+        if not 3 <= self.N <= _MAX_LIMIT:
+            raise InvalidArgumentError(f"N must be in [3, 2**53], got {self.N:.6g}")
 
 
 def members_in_window(config: CramerConfig, lo: int, hi: int) -> np.ndarray:
@@ -101,12 +95,8 @@ def cramer_distances(
 ) -> DistanceMultiset:
     """Truncated distance multiset around a member of the simulated set.
 
-    With rescaling on, each distance is divided by the local mean gap:
-    ``log(base_point)`` for every distance in ``base-point`` mode, or
-    ``log(q)`` of the neighbor ``q`` in ``per-gap`` mode.  For a single base
-    point the base-point variant is a global rescale, which the log binning
-    is invariant to; the distinction matters when aggregating multisets
-    across base points.
+    Only the members within ``R`` of ``base_point`` are simulated; they give
+    the same distances as the full set would.
     """
     if not (math.isfinite(R) and R > 0):
         raise InvalidArgumentError(f"R must be positive and finite, got {R}")
@@ -115,19 +105,7 @@ def cramer_distances(
             f"simulation bound N={config.N} does not cover base_point + R = {base_point + R}"
         )
     members = members_in_window(config, math.ceil(base_point - R), math.floor(base_point + R))
-    d = np.abs(members - float(base_point))
-    keep = (d > 0) & (d <= R)
-    d = d[keep]
-    radius = float(R)
-    if config.rescale and d.size:
-        if config.rescale_mode == "base-point":
-            scale = math.log(base_point)
-            d = d / scale
-            radius = R / scale
-        else:
-            d = d / np.log(members[keep].astype(np.float64))
-            radius = float(np.max(d))
-    return DistanceMultiset(values=np.sort(d), radius=radius, base_points=(int(base_point),))
+    return truncated_distances(base_point, members, R)
 
 
 def cramer_entropy(config: CramerConfig, base_coord: float, R: float, M: int) -> EntropyReport:
@@ -141,7 +119,5 @@ def cramer_entropy(config: CramerConfig, base_coord: float, R: float, M: int) ->
         "R": float(R),
         "base_point": int(base_point),
         "requested_base": float(base_coord),
-        "rescale": bool(config.rescale),
-        "rescale_mode": config.rescale_mode,
     }
     return full_pipeline(dm, M, provenance=provenance)

@@ -1,7 +1,8 @@
 """Truncated distance multisets around base points.
 
-Distances are stored as float64 even for integer configurations so the
-same type serves the stochastic simulators, whose points are real-valued.
+Prime tables, points files and Cramer member windows all get their
+distances here.  They are float64 even for integer configurations (exact
+for coordinates up to ``2**53``), so one type serves every source.
 """
 
 from __future__ import annotations
@@ -75,8 +76,7 @@ def truncated_distances(p: float, table: PointSource, R: float) -> DistanceMulti
     raw array is taken to be the complete configuration, so no coverage
     check applies.
     """
-    d = np.sort(pooled_distances([p], table, R))
-    return DistanceMultiset(values=d, radius=float(R), base_points=(p,))
+    return aggregate_distances([p], table, R)
 
 
 def aggregate_distances(points: Sequence[float], table: PointSource, R: float) -> DistanceMultiset:

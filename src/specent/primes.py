@@ -12,7 +12,7 @@ from .errors import CoverageError, InvalidArgumentError
 # Windows are sieved in segments of this span, which bounds memory to a few
 # MB regardless of the window length.
 _SEGMENT_SPAN = 1 << 22
-_MAX_LIMIT = 2**63 - 1
+_MAX_LIMIT = 2**53  # largest coordinate whose integer distances float64 holds exactly
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def sieve_up_to(limit: int) -> PrimeTable:
     Parameters
     ----------
     limit : int
-        Inclusive sieving bound, ``2 <= limit < 2**63``.
+        Inclusive sieving bound, ``2 <= limit <= 2**53``.
     """
     limit = int(limit)
     if limit < 2:
@@ -126,13 +126,13 @@ def primes_in_window(lo: int, hi: int) -> PrimeTable:
     ----------
     lo, hi : int
         Inclusive window ends; ``lo`` below 0 is clamped to 0, and
-        ``max(lo, 0) <= hi < 2**63``.
+        ``max(lo, 0) <= hi <= 2**53``.
     """
     lo, hi = max(int(lo), 0), int(hi)
     if hi < lo:
         raise InvalidArgumentError(f"prime window [{lo}, {hi}] is empty")
     if hi > _MAX_LIMIT:
-        raise InvalidArgumentError(f"limit {hi} exceeds the 63-bit range")
+        raise InvalidArgumentError(f"prime window end {hi:.6g} exceeds 2**53")
     base = _flat_sieve(math.isqrt(hi))
     chunks = _sieve_segments(lo, hi, base)
     primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)

@@ -342,6 +342,20 @@ def test_lambda_r_above_cap_exits_2(argv, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["cramer", "--N", "1e20", "--R", "10", "--M", "8", "--seed", "1"],
+    ["entropy", "--p", "1e17", "--R", "10", "--M", "8"],
+])
+def test_coordinates_above_2_53_exit_2(argv, tmp_path, capsys):
+    # Beyond 2**53 float64 distances are no longer exact; the cap is
+    # checked before anything is simulated or sieved.
+    code, _, err = run(argv + ["--out", str(tmp_path / "r.json")], capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and "2**53" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("bins", ["0", "-3", str(MAX_BINS + 1)])
 def test_hist_bins_out_of_range_exits_2(bins, tmp_path, capsys):
     # The range is checked before any sample is drawn or histogram allocated.
@@ -426,7 +440,10 @@ def test_replicates_and_samples_above_cap_exit_2(argv, tmp_path, capsys):
 
 
 def test_usage_errors_are_one_line(capsys):
-    for argv in (["frobnicate"], ["entropy", "--p", "1"], ["null", "--seed", "x"], []):
+    cramer = ["cramer", "--N", "1e5", "--R", "1e2", "--M", "8", "--seed", "1"]
+    removed_flags = (["--rescale"], ["--no-rescale"], ["--rescale-mode", "per-gap"])
+    for argv in (["frobnicate"], ["entropy", "--p", "1"], ["null", "--seed", "x"], [],
+                 *(cramer + flags for flags in removed_flags)):
         code, _, err = run(argv, capsys)
         assert code == 2
         assert len(err.strip().splitlines()) == 1

@@ -31,10 +31,8 @@ VALUES = {
     "--prime-limit": ["100", "1e4", "1", "-1", "x"],
     "--threads": ["1", "3", "0", "-2", "x"],
     "--format": ["json", "csv", "xml"],
-    "--rescale-mode": ["base-point", "nope"],
 }
-SWITCHES = ["--squared-weights", "--check-stabilization", "--center", "--rescale",
-            "--no-rescale"]
+SWITCHES = ["--squared-weights", "--check-stabilization", "--center"]
 # A valid value for every required flag, so that most examples get past the
 # parser and into the commands.
 REQUIRED = {
@@ -52,7 +50,7 @@ COMMON = ["--threads", "--format", "--p"]  # --p is foreign to three commands
 OPTIONAL = {
     "entropy": ["--squared-weights", "--n-primes", "--prime-limit"],
     "null": ["--lambda", "--M", "--check-stabilization", "--R-grid"],
-    "cramer": ["--base", "--rescale", "--no-rescale", "--rescale-mode"],
+    "cramer": ["--base"],
     "stability": ["--n-primes", "--prime-limit"],
     "deviation": ["--lambda", "--n-primes", "--prime-limit"],
     "ensemble": ["--center", "--hist-bins", "--n-primes", "--prime-limit"],

@@ -15,6 +15,7 @@ from specent import (
     members_in_window,
     nearest_member,
     simulate_cramer_set,
+    truncated_distances,
 )
 
 
@@ -87,23 +88,16 @@ def test_nearest_member_tie_prefers_smaller():
     assert nearest_member(cfg, mid) == members[i]
 
 
-def test_rescale_is_noop_for_single_base_point():
-    cfg_on = CramerConfig(N=10**6, seed=5, rescale=True)
-    cfg_off = CramerConfig(N=10**6, seed=5, rescale=False)
-    on = cramer_entropy(cfg_on, 5e5, 1e4, 50)
-    off = cramer_entropy(cfg_off, 5e5, 1e4, 50)
-    assert on.H == pytest.approx(off.H, abs=1e-12)
-
-
-def test_rescale_modes_change_values_not_validity():
-    base = CramerConfig(N=10**6, seed=5)
-    per_gap = CramerConfig(N=10**6, seed=5, rescale_mode="per-gap")
-    a = cramer_distances(base, nearest_member(base, 5e5), 1e4)
-    b = cramer_distances(per_gap, nearest_member(per_gap, 5e5), 1e4)
-    assert a.values.size == b.values.size
-    assert not np.allclose(a.values, b.values)
-    with pytest.raises(InvalidArgumentError):
-        CramerConfig(N=10**6, seed=5, rescale_mode="nope")
+def test_distances_match_truncated_full_set():
+    # The window contract through the shared path: simulating only the
+    # window gives the distances of the whole simulated set.
+    for N, seed, coord, R in ((10**5, 5, 5e4, 1e3), (10**5, 9, 200.0, 150.0),
+                              (10**6, 5, 5e5, 1e4)):
+        cfg = CramerConfig(N=N, seed=seed)
+        base = nearest_member(cfg, coord)
+        got = cramer_distances(cfg, base, R).values
+        want = truncated_distances(base, simulate_cramer_set(cfg), R).values
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
 def test_coverage_guard():
@@ -115,6 +109,9 @@ def test_coverage_guard():
 def test_invalid_n_rejected():
     with pytest.raises(InvalidArgumentError):
         CramerConfig(N=2, seed=1)
+    # Above 2**53 float64 no longer holds every integer distance exactly.
+    with pytest.raises(InvalidArgumentError, match=r"2\*\*53"):
+        CramerConfig(N=2**53 + 1, seed=1)
 
 
 def test_entropy_provenance():
@@ -124,17 +121,18 @@ def test_entropy_provenance():
     assert prov["model"] == "cramer"
     assert prov["N"] == 10**6
     assert prov["seed"] == 5
-    assert prov["rescale_mode"] == "base-point"
+    assert not [key for key in prov if key.startswith("rescale")]
+    assert prov["radius"] == prov["R"] == 1e4
     assert prov["requested_base"] == 5e5
     assert abs(prov["base_point"] - 5e5) < 100  # members are ~log(5e5) apart
 
 
 def test_universality_at_matched_effective_size():
-    """Mean H agrees with a Poisson run of comparable rescaled size.
+    """Mean H agrees with a Poisson run of comparable effective size.
 
-    A rescaled two-sided window of radius R around base b holds about
-    2R / log(b) unit-intensity points, so the comparable Poisson run has
-    lambda * R' equal to that count.  The residual gap (integer support of
+    A two-sided window of radius R around base b holds about 2R / log(b)
+    members.  Log binning ignores the distance scale, so the comparable
+    Poisson run has lambda * R' equal to that count.  The residual gap (integer support of
     the simulated set vs a continuum process) stays well under 0.05, while
     comparing against a differently sized Poisson run leaves ~0.1.
     """

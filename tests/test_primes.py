@@ -144,6 +144,9 @@ def test_window_rejects_empty_and_oversized():
         primes_in_window(-20, -10)
     with pytest.raises(InvalidArgumentError):
         primes_in_window(2**63 - 10, 2**63)
+    # The 2**53 cap is checked before any sieving.
+    with pytest.raises(InvalidArgumentError, match=r"2\*\*53"):
+        primes_in_window(2**53 - 10, 2**53 + 1)
 
 
 def test_window_near_1e12_matches_miller_rabin():

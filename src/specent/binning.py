@@ -99,9 +99,32 @@ def log_bin_counts(values: np.ndarray, M: int) -> tuple[np.ndarray, float, float
         raise DegenerateRangeError(
             f"distances span [{d_min!r}, {d_max!r}], a zero-width log range"
         )
+    return np.bincount(_bin_index(values, log_min, log_max, M), minlength=M), log_min, log_max
+
+
+def _bin_index(values, log_min, log_max, M: int) -> np.ndarray:
+    """The bin of every value: floor arithmetic on the log axis, clipped
+    into ``[0, M-1]``; ``log_min`` and ``log_max`` broadcast against ``values``."""
     idx = np.floor(M * (np.log(values) - log_min) / (log_max - log_min)).astype(np.int64)
     np.clip(idx, 0, M - 1, out=idx)
-    return np.bincount(idx, minlength=M), log_min, log_max
+    return idx
+
+
+def _integer_thresholds(d_min, log_min, log_max, M: int):
+    """Per row of integer distances with smallest value ``d_min`` and log
+    extrema ``log_min``, ``log_max``: the smallest integer that
+    :func:`_bin_index` puts in bin ``b`` or above, ``b = 1 .. M-1``, and
+    whether the row's search held.  That is the first of four integers
+    around the edge ``exp(log_min + b * span / M)`` to get there; the search
+    fails if the first already does or the last does not."""
+    b = np.arange(1, M)
+    span = (log_max - log_min)[:, None]
+    edge = np.floor(np.exp(log_min[:, None] + b * span / M))
+    near = np.maximum(edge[..., None] + np.arange(-1, 3), d_min[:, None, None])
+    above = _bin_index(near, log_min[:, None, None], log_max[:, None, None], M) >= b[:, None]
+    held = (~above[..., 0] & above[..., -1]).all(axis=1)
+    first = np.take_along_axis(near, above.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    return first.astype(np.int64), held
 
 
 def _from_counts(counts: np.ndarray, log_min: float, log_max: float) -> LogBinning:

@@ -225,7 +225,7 @@ def _prime_table(args, lo: float, hi: float) -> PrimeTable:
         return first_n_primes(args.n_primes)
     if getattr(args, "prime_limit", None) is not None:
         return sieve_up_to(args.prime_limit)
-    return primes_in_window(math.floor(lo), math.ceil(hi))
+    return primes_in_window(lo, hi)
 
 
 def _table_provenance(table: PrimeTable) -> dict:

@@ -73,7 +73,10 @@ def nearest_member(config: CramerConfig, coord: float) -> int:
     coord = float(coord)
     if not math.isfinite(coord):
         raise InvalidArgumentError(f"base coordinate must be finite, got {coord}")
-    half_width = max(16.0, 8.0 * math.log(max(coord, 3.0)))
+    # Every member lies in [3, N], so a clamped coordinate has the same
+    # nearest member, and the search window stays finite.
+    coord = min(max(coord, 3.0), float(config.N))
+    half_width = max(16.0, 8.0 * math.log(coord))
     while True:
         lo = max(3, math.floor(coord - half_width))
         hi = min(config.N, math.ceil(coord + half_width))

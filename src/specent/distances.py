@@ -96,22 +96,25 @@ def pooled_distances(points: Sequence[float], table: PointSource, R: float) -> n
     what :func:`truncated_distances` raises for it.
     """
     parts = []
-    pts = None
-    for p in points:
+    for j, p in enumerate(points):
         if not (math.isfinite(p) and math.isfinite(R)):
             raise InvalidArgumentError(f"p and R must be finite, got p = {p}, R = {R}")
         if R <= 0:
             raise InvalidArgumentError(f"R must be positive, got {R}")
-        if isinstance(table, PrimeTable):
-            window = table.between(p - R, p + R)
-        else:
-            if pts is None:
+        if j == 0:  # R is valid: find every point's window at once
+            centers = np.asarray(points, dtype=np.float64)
+            with np.errstate(over="ignore"):  # p ± R may round to ±inf, as floats do
+                lo, hi = centers - R, centers + R
+            if isinstance(table, PrimeTable):
+                pts, (start, stop), covered = table.primes, table.bounds(lo, hi), table.covers(lo, hi)
+            else:
                 pts = _points_array(table)
-            lo = int(np.searchsorted(pts, p - R, side="left"))
-            hi = int(np.searchsorted(pts, p + R, side="right"))
-            window = pts[lo:hi]
+                start, stop = pts.searchsorted(lo, side="left"), pts.searchsorted(hi, side="right")
+                covered = np.ones(centers.size, dtype=bool)
+        if not covered[j]:
+            table.between(p - R, p + R)  # raises the CoverageError
         # One window at a time: its temporaries stay in cache.
-        d = np.abs(window - float(p))
+        d = np.abs(pts[start[j] : stop[j]] - float(p))
         parts.append(d[(d > 0) & (d <= R)])
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
 

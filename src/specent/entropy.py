@@ -27,13 +27,14 @@ from .errors import DegenerateSpectrumError, EmptyDistancesError, InvalidArgumen
 from .parallel import ordered_map
 from .spectrum import Spectrum, folded_fft, log_spectrum
 
-# Most bin counts one block of rows holds, so a block's complex spectra stay
-# under 512 KiB whatever the number of rows.  Smaller blocks made ensemble
-# jobs about a third slower under glibc malloc (measured on a 2-vCPU Linux
-# VM): with blocks of 2**12 bins, each sample's arrays of about 120 KiB went
-# back to the OS and were faulted in again, about 30,000 page faults per
-# 500-sample job against about 300 at 2**15.  Freeing the larger block
-# arrays raises the allocator's trim threshold above that churn.
+# Most values one block holds: the bins of its count rows, or the
+# rows x m x (M - 1) table lookups of an ensemble block's prefix counts, so
+# its temporaries stay under 512 KiB whatever the number of rows.  Smaller
+# blocks made ensemble jobs about a third slower under glibc malloc (2-vCPU
+# Linux VM): with blocks of 2**12 bins, each sample's arrays of about
+# 120 KiB went back to the OS and were faulted in again, about 30,000 page
+# faults per 500-sample job against about 300 at 2**15.  Freeing the larger
+# block arrays raises the allocator's trim threshold above that churn.
 _BLOCK_VALUES = 2**15
 
 
@@ -119,14 +120,15 @@ def entropy_from_counts(counts: np.ndarray) -> np.ndarray:
     return entropy_weights(np.abs(folded_fft(counts / totals)))[1]
 
 
-def _entropy_of_rows(row, count: int, M: int) -> np.ndarray:
-    """Entropies of the ``M``-bin count rows ``row(i)``, ``i < count``, skipping ``None``;
-    blocks of at most ``_BLOCK_VALUES`` bins keep temporaries independent of ``count``."""
-    block = max(1, _BLOCK_VALUES // M)
+def _entropy_of_rows(item, count: int, width: int, rows=np.stack) -> np.ndarray:
+    """Entropies of the count rows that ``rows`` builds from each block of the
+    items ``item(i)``, ``i < count``, skipping ``None``; blocks of at most
+    ``_BLOCK_VALUES // width`` items keep temporaries independent of ``count``."""
+    block = max(1, _BLOCK_VALUES // width)
     parts = []
     for start in range(0, count, block):
-        rows = [r for r in ordered_map(row, range(start, min(start + block, count))) if r is not None]
-        parts.append(entropy_from_counts(np.stack(rows)) if rows else np.empty(0))
+        items = [r for r in ordered_map(item, range(start, min(start + block, count))) if r is not None]
+        parts.append(entropy_from_counts(rows(items)) if items else np.empty(0))
     return np.concatenate(parts)
 
 

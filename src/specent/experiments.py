@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .binning import MAX_BINS, _check_bins, log_bin_counts
+from .binning import MAX_BINS, _check_bins, _integer_thresholds, log_bin_counts
 from .distances import pooled_distances, truncated_distances
 from .entropy import _entropy_of_rows, full_pipeline
 from .errors import InvalidArgumentError
@@ -215,11 +215,14 @@ def ensemble_distribution(
     table unless ``baseline`` is given), which must be at the same ``M``;
     per-sample centering is not applied.
     ``table`` must cover ``prime_range``, or the candidates would silently
-    be fewer than the primes in it.  Each sample is reduced to its ``M``
-    log-bin counts, which go through :func:`entropy_from_counts` like the
-    rows of the Poisson null and the stability grid; every sample equals the
+    be fewer than the primes in it; a base's window ``[p - R, p + R]`` is
+    checked only once a sample draws it.  Each sample is reduced to its
+    ``M`` log-bin counts, which go through :func:`entropy_from_counts` like
+    the rows of the Poisson null and the stability grid.  Blocks of
+    samples count them in the table where :func:`_prefix_counts` can, and
+    bin the pooled distances elsewhere; every sample equals the
     :func:`full_pipeline` entropy of its :func:`aggregate_distances` bit for
-    bit.
+    bit, and the first that fails raises what that pipeline raises.
     """
     if m < 1:
         raise InvalidArgumentError(f"m must be at least 1, got {m}")
@@ -249,13 +252,16 @@ def ensemble_distribution(
                                        f"but the ensemble is at M = {M}")
         baseline_mean = float(baseline.mean)
 
-    def sample_counts(i: int) -> np.ndarray:
-        chosen = generator(seed, i).choice(candidates, size=m, replace=False)
-        # As Python ints: numpy scalar arithmetic on each base would cost
-        # more than slicing its window.
-        return log_bin_counts(pooled_distances(chosen.tolist(), table, R), M)[0]
+    def draw(i: int) -> np.ndarray:
+        return generator(seed, i).choice(candidates, size=m, replace=False)
 
-    samples = _entropy_of_rows(sample_counts, sample_count, M)
+    def block_counts(draws: list) -> np.ndarray:
+        counts, held = _prefix_counts(np.stack(draws), table, R, M)
+        for j in np.flatnonzero(~held):
+            counts[j] = log_bin_counts(pooled_distances(draws[j], table, R), M)[0]
+        return counts
+
+    samples = _entropy_of_rows(draw, sample_count, max(M, m * (M - 1)), block_counts)
     if center:
         samples = samples - baseline_mean
     counts, edges = np.histogram(samples, bins=hist_bins)
@@ -273,3 +279,40 @@ def ensemble_distribution(
         seed=int(seed),
         baseline_mean=baseline_mean,
     )
+
+
+def _prefix_counts(bases: np.ndarray, table: PrimeTable, R: float, M: int):
+    """Log-bin counts of the pooled distances around each row of ``bases``,
+    counted in the table, and which rows they hold.
+
+    A row's extrema are its bases' nearest-neighbour gaps and reaches; its
+    distances below each :func:`_integer_thresholds` value are the primes
+    that close to each base, one ``searchsorted`` for all.  No row holds if
+    the windows hold on average at most the ``2 (M - 1)`` lookups a base
+    costs; nor does one with an uncovered window, no distances, equal-log
+    extrema or a failed threshold search.
+    """
+    n, m = bases.shape
+    counts = np.zeros((n, M), dtype=np.int64)
+    lo, hi = bases - R, bases + R
+    start, stop = table.bounds(lo, hi)
+    if not (R > 0 and 2 * (M - 1) < (stop - start).mean()):
+        return counts, np.zeros(n, dtype=bool)
+    # With R > 0 every base, a listed prime, lies in its window: start <= k < stop.
+    primes = table.primes
+    k = primes.searchsorted(bases)
+    gaps = np.stack([bases - primes[np.maximum(k - 1, start)],
+                     primes[np.minimum(k + 1, stop - 1)] - bases])
+    d_min = np.where(gaps > 0, gaps, np.iinfo(np.int64).max).min(axis=(0, 2))
+    d_max = np.maximum(bases - primes[start], primes[stop - 1] - bases).max(axis=1)
+    log_min = np.array([math.log(d) for d in d_min.astype(np.float64).tolist()])
+    log_max = np.array([math.log(d) for d in np.maximum(d_max, 1).astype(np.float64).tolist()])
+    held = table.covers(lo, hi).all(axis=1) & (d_max > 0) & (log_min != log_max)
+    rows = np.flatnonzero(held)
+    thresholds, held[rows] = _integer_thresholds(d_min[rows], log_min[rows], log_max[rows], M)
+    P, T = bases[rows][:, :, None], thresholds[:, None, :]
+    below = (np.minimum(primes.searchsorted(P + T, side="left"), stop[rows][:, :, None])
+             - np.maximum(primes.searchsorted(P - T, side="right"), start[rows][:, :, None]))
+    total = (stop - start)[rows].sum(axis=1) - m
+    counts[rows] = np.diff(below.sum(axis=1) - m, prepend=0, append=total[:, None])
+    return counts, held

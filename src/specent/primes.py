@@ -30,13 +30,23 @@ class PrimeTable:
     def __len__(self) -> int:
         return int(self.primes.size)
 
-    def covers(self, lo: float, hi: float) -> bool:
-        """Whether every prime in ``[lo, hi]`` is listed.
+    def covers(self, lo, hi):
+        """Whether every prime in ``[lo, hi]`` is listed, elementwise over
+        arrays of ends.
 
         No prime lies below 2, so a table starting at or below 2 covers any
         low end.
         """
-        return bool(self.limit >= hi and (self.lo <= 2 or self.lo <= np.ceil(lo)))
+        return (self.limit >= hi) & ((self.lo <= 2) | (self.lo <= np.ceil(lo)))
+
+    def bounds(self, lo, hi):
+        """``(start, stop)`` such that ``primes[start:stop]`` are the listed
+        primes in ``[lo, hi]``, elementwise over arrays of ends."""
+        # Integer bounds spare casting the int64 table to float64; clamping
+        # into [0, limit + 1] (NaN included) keeps them in the int64 range.
+        low, high = (np.fmax(np.fmin(end, self.limit + 1), 0) for end in (lo, hi))
+        return (self.primes.searchsorted(np.ceil(low).astype(np.int64), side="left"),
+                self.primes.searchsorted(np.floor(high).astype(np.int64), side="right"))
 
     def between(self, lo: float, hi: float) -> np.ndarray:
         """The primes in ``[lo, hi]``; raises ``CoverageError`` unless covered.
@@ -48,13 +58,7 @@ class PrimeTable:
             raise CoverageError(
                 f"prime table [{self.lo}, {self.limit}] does not cover [{lo}, {hi}]"
             )
-        # Integer bounds select the same primes as the float ones without
-        # casting the whole int64 table to float64 for the comparison; the
-        # clamp at 0, below every prime, keeps them in the int64 range (and
-        # turns a low end of -inf into 0).
-        low, high = math.ceil(max(lo, 0)), math.floor(max(hi, 0))
-        start = int(self.primes.searchsorted(low, side="left"))
-        stop = int(self.primes.searchsorted(high, side="right"))
+        start, stop = self.bounds(lo, hi)
         return self.primes[start:stop]
 
 
@@ -115,7 +119,7 @@ def sieve_up_to(limit: int) -> PrimeTable:
     return primes_in_window(0, limit)
 
 
-def primes_in_window(lo: int, hi: int) -> PrimeTable:
+def primes_in_window(lo: float, hi: float) -> PrimeTable:
     """All primes in ``[max(lo, 0), hi]`` by a segmented sieve of that window.
 
     Only the base primes up to ``isqrt(hi)`` and the window itself are
@@ -124,15 +128,17 @@ def primes_in_window(lo: int, hi: int) -> PrimeTable:
 
     Parameters
     ----------
-    lo, hi : int
-        Inclusive window ends; ``lo`` below 0 is clamped to 0, and
+    lo, hi : float
+        Window ends, rounded outward to the integers ``floor(max(lo, 0))``
+        and ``ceil(hi)``, which become the table's ``lo`` and ``limit``;
         ``max(lo, 0) <= hi <= 2**53``.
     """
-    lo, hi = max(int(lo), 0), int(hi)
-    if hi < lo:
-        raise InvalidArgumentError(f"prime window [{lo}, {hi}] is empty")
+    # The cap is checked before any integer conversion, which cannot take inf.
     if hi > _MAX_LIMIT:
         raise InvalidArgumentError(f"prime window end {hi:.6g} exceeds 2**53")
+    lo, hi = math.floor(max(lo, 0)), math.ceil(hi)
+    if hi < lo:
+        raise InvalidArgumentError(f"prime window [{lo}, {hi}] is empty")
     base = _flat_sieve(math.isqrt(hi))
     chunks = _sieve_segments(lo, hi, base)
     primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -353,6 +354,44 @@ def test_coordinates_above_2_53_exit_2(argv, tmp_path, capsys):
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err and "2**53" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_window_end_overflowing_to_inf_exits_2(tmp_path, capsys):
+    # p + R is inf although both are finite; the cap is compared before the
+    # end is converted to an integer.
+    argv = ["entropy", "--p", "1e308", "--R", "1e308", "--M", "8",
+            "--out", str(tmp_path / "r.json")]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.strip() == "InvalidArgumentError: prime window end inf exceeds 2**53"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_window_start_overflowing_to_minus_inf_ends_in_one_line(tmp_path, capsys):
+    # p - R is -inf: the window is [0, 0], which holds no prime.  No numpy
+    # overflow warning may reach stderr either.
+    argv = ["entropy", "--p=-1e308", "--R", "1e308", "--M", "8",
+            "--out", str(tmp_path / "r.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err.strip() == "EmptyDistancesError: No distances available"
+
+
+def test_base_beyond_n_ends_like_base_n(tmp_path, capsys):
+    # The nearest member of a coordinate above N is the nearest member of N.
+    argv = ["cramer", "--N", "1e6", "--R", "10", "--M", "8", "--seed", "1",
+            "--out", str(tmp_path / "r.json")]
+    errors = []
+    for base in ("1e308", "1e6"):
+        code, _, err = run(argv + ["--base", base], capsys)
+        assert code == 1
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert len(errors[0].strip().splitlines()) == 1
+    assert errors[0].startswith("CoverageError: ")
     assert not (tmp_path / "r.json").exists()
 
 

@@ -79,6 +79,15 @@ def test_nearest_member_matches_bruteforce():
         assert nearest_member(cfg, coord) == want
 
 
+def test_nearest_member_of_far_coordinates_is_the_nearest_end_member():
+    # Every member lies in [3, N], so a coordinate beyond either end finds
+    # the member nearest that end, even one whose search window would
+    # overflow.
+    cfg = CramerConfig(N=10**4, seed=8)
+    assert nearest_member(cfg, 1e308) == nearest_member(cfg, 10**4)
+    assert nearest_member(cfg, -1e308) == nearest_member(cfg, 3.0)
+
+
 def test_nearest_member_tie_prefers_smaller():
     cfg = CramerConfig(N=10**4, seed=8)
     members = simulate_cramer_set(cfg)

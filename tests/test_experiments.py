@@ -173,17 +173,84 @@ def _replayed_samples(m, n, prime_range, R, M, seed, table):
     ]
 
 
-@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.fixture(scope="module")
+def wide_table():
+    return sieve_up_to(300000)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 16])
 @pytest.mark.parametrize("M", [2, 50, 1000])
-def test_batched_samples_equal_per_sample_pipeline(table, m, M):
-    # Counts per sample plus one batched kernel must give every sample's
-    # float bits, not just a close value.
-    cases = [((10**4, 10**5), 1e4, table), ((10**4, 2 * 10**4), 300.0, table),
-             ((10**4, 2 * 10**4), 1e3, primes_in_window(9000, 21000))]
-    for prime_range, R, source in cases:
-        dist = ensemble_distribution(m, 12, prime_range, R, M, 31, source)
-        expected = _replayed_samples(m, 12, prime_range, R, M, 31, source)
+def test_batched_samples_equal_per_sample_pipeline(table, wide_table, m, M):
+    # Count rows, from the prefix counts or from binned distances, plus one
+    # batched kernel must give every sample's float bits, not just a close
+    # value.  The cases cover a half-integer R, a window table and a table
+    # from 0 that ends just past the last window, as --prime-limit makes.
+    cases = [((10**4, 10**5), 1e4, table, 12), ((10**4, 2 * 10**4), 300.0, table, 12),
+             ((10**4, 2 * 10**4), 1e3, primes_in_window(9000, 21000), 12),
+             ((10**5, 2 * 10**5), 1e5, wide_table, 20), ((10**4, 10**5), 2500.5, table, 12),
+             ((10**4, 2 * 10**4), 1e3, sieve_up_to(21000), 12)]
+    for prime_range, R, source, n in cases:
+        dist = ensemble_distribution(m, n, prime_range, R, M, 31, source)
+        expected = _replayed_samples(m, n, prime_range, R, M, 31, source)
         assert [h.hex() for h in dist.samples.tolist()] == [h.hex() for h in expected]
+
+
+@pytest.mark.parametrize("M, prefix", [(50, True), (1000, False)])
+def test_path_rule_sides_give_the_binned_counts(table, M, prefix):
+    # At R = 1e4 a window holds about 1,900 primes: more than the 2 (M - 1)
+    # lookups per base at M = 50, fewer than at M = 1000.  Both paths give
+    # the counts of the binned distances.
+    from specent.binning import log_bin_counts
+    from specent.distances import pooled_distances
+    from specent.experiments import _prefix_counts
+    from specent.rng import generator
+
+    candidates = table.between(10**4, 10**5)
+    bases = np.stack([generator(3, i).choice(candidates, size=8, replace=False)
+                      for i in range(10)])
+    counts, held = _prefix_counts(bases, table, 1e4, M)
+    assert held.tolist() == [prefix] * 10
+    if prefix:
+        for row, chosen in zip(counts, bases):
+            assert row.tolist() == log_bin_counts(pooled_distances(chosen, table, 1e4), M)[0].tolist()
+    dist = ensemble_distribution(8, 10, (10**4, 10**5), 1e4, M, 3, table)
+    expected = _replayed_samples(8, 10, (10**4, 10**5), 1e4, M, 3, table)
+    assert [h.hex() for h in dist.samples.tolist()] == [h.hex() for h in expected]
+
+
+@pytest.mark.parametrize("d_min, d_max, M", [
+    (9, 100, 8),  # d = 30 lies on log edge 4 (30**8 == 9**4 * 100**4)
+    (1, 2, 2), (1, 1000, 50), (2, 97, 16), (7, 8, 50), (3, 10**4, 1000), (5, 10**5, 200),
+])
+def test_integer_thresholds_match_a_first_integer_scan(d_min, d_max, M):
+    from specent.binning import _integer_thresholds, log_bin_counts
+
+    counts, log_min, log_max = log_bin_counts(np.arange(d_min, d_max + 1, dtype=np.float64), M)
+    thresholds, held = _integer_thresholds(np.array([d_min]), np.array([log_min]),
+                                           np.array([log_max]), M)
+    assert held.tolist() == [True]
+    # Every integer in [d_min, d_max] is binned, so bin b starts at d_min
+    # plus the number of integers in the bins below it.
+    assert thresholds[0].tolist() == (d_min + np.cumsum(counts)[:-1]).tolist()
+    if (d_min, d_max, M) == (9, 100, 8):
+        # The floor formula puts 30 one bin low; the thresholds follow it.
+        assert thresholds[0, 3] == 31
+
+
+def test_coverage_is_checked_only_for_drawn_bases():
+    # The table stops one short of 19997 + R, the window of the top
+    # candidate; no other candidate's window is cut.  Seed 0 never draws
+    # 19997 in 60 samples, seed 1 draws it in sample 42 only.
+    source = primes_in_window(8000, 19997 + 1000 - 1)
+    dist = ensemble_distribution(8, 60, (10**4, 2 * 10**4), 1e3, 50, 0, source)
+    expected = _replayed_samples(8, 60, (10**4, 2 * 10**4), 1e3, 50, 0, source)
+    assert [h.hex() for h in dist.samples.tolist()] == [h.hex() for h in expected]
+    with pytest.raises(CoverageError) as old:
+        _replayed_samples(8, 60, (10**4, 2 * 10**4), 1e3, 50, 1, source)
+    assert "[18997.0, 20997.0]" in str(old.value)
+    with pytest.raises(CoverageError) as new:
+        ensemble_distribution(8, 60, (10**4, 2 * 10**4), 1e3, 50, 1, source)
+    assert str(new.value) == str(old.value)
 
 
 def test_batched_samples_span_several_kernel_blocks(table):

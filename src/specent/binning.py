@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._json import as_json
 from .distances import DistanceMultiset
 from .errors import DegenerateRangeError, EmptyDistancesError, InvalidArgumentError
 
@@ -43,13 +44,7 @@ class LogBinning:
         return int(self.counts.sum())
 
     def to_dict(self) -> dict:
-        return {
-            "M": int(self.M),
-            "log_edges": self.log_edges.tolist(),
-            "counts": self.counts.tolist(),
-            "probs": self.probs.tolist(),
-            "centers": self.centers.tolist(),
-        }
+        return as_json(self, omit=("edges",))
 
 
 def _check_bins(M) -> int:

@@ -19,17 +19,17 @@ arguments.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
-import json
 import math
 import sys
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
+from ._json import open_output, plain, write_json
 from .binning import MAX_BINS
 from .cramer import CramerConfig, cramer_entropy
 from .distances import read_values, truncated_distances
@@ -37,6 +37,7 @@ from .entropy import full_pipeline
 from .errors import InvalidArgumentError, SpecentError
 from .experiments import (
     QUANTILE_LEVELS,
+    _check_ensemble_args,
     deviation_profile,
     ensemble_distribution,
     matched_null_config,
@@ -44,6 +45,7 @@ from .experiments import (
 )
 from .nullmodel import (
     PoissonConfig,
+    _check_replicates,
     baseline_from_estimate,
     check_bin_stabilization,
     estimate_null_entropy,
@@ -245,53 +247,28 @@ def _manifest(args, outputs: Sequence[str]) -> dict:
     }
 
 
-def _write_json_file(path: str, payload: dict) -> None:
-    parent = Path(path).parent
-    if parent and not parent.exists():
-        parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def _emit(args, kind: str, result: dict, csv_header: Sequence[str],
-          csv_rows: Sequence[Sequence]) -> str:
-    """Write the result file (plus manifest sidecar for CSV); returns the path."""
-    ext = "json" if args.format == "json" else "csv"
-    out = args.out or f"{args.subcommand}_result.{ext}"
+          csv_rows: Sequence[Sequence]) -> None:
+    """Write the result file, plus the manifest sidecar for CSV."""
+    out = args.out or f"{args.subcommand}_result.{args.format}"
     if args.format == "json":
         payload = {
             "schema": f"{SCHEMA_PREFIX}/{kind}",
             "manifest": _manifest(args, [out]),
             "result": result,
         }
-        _write_json_file(out, payload)
+        write_json(out, payload)
     else:
-        import csv as _csv
-
         sidecar = out + ".manifest.json"
-        parent = Path(out).parent
-        if parent and not parent.exists():
-            parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            writer = _csv.writer(handle)
+        with open_output(out, newline="") as handle:
+            writer = csv.writer(handle)
             writer.writerow(csv_header)
-            for row in csv_rows:
-                writer.writerow([_cell(value) for value in row])
-        _write_json_file(sidecar, {
+            writer.writerows(plain(csv_rows))
+        write_json(sidecar, {
             "schema": f"{SCHEMA_PREFIX}/run_manifest",
             "manifest": _manifest(args, [out, sidecar]),
         })
     print(f"wrote {out}")
-    return out
-
-
-def _cell(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return value
 
 
 def cmd_entropy(args) -> int:
@@ -338,10 +315,8 @@ def cmd_null(args) -> int:
         raise InvalidArgumentError("--reps is required unless --check-stabilization is given")
     config = PoissonConfig(intensity=args.intensity, radius=args.R, seed=args.seed)
     estimate = estimate_null_entropy(args.M, config, args.reps)
-    outputs_extra = []
     if args.baseline_out is not None:
         write_baseline(baseline_from_estimate(estimate), args.baseline_out)
-        outputs_extra.append(args.baseline_out)
         print(f"wrote {args.baseline_out}")
     rows = [(i + 1, h) for i, h in enumerate(estimate.per_replicate_H)]
     _emit(args, "null_estimate", estimate.to_dict(), ("replicate", "H"), rows)
@@ -377,11 +352,12 @@ def cmd_stability(args) -> int:
 def cmd_deviation(args) -> int:
     _check_finite("p", args.p)
     _check_finite("R", args.R, positive=True)
-    table = _prime_table(args, args.p - args.R, args.p + args.R)
     if args.intensity is not None:
         null_config = PoissonConfig(intensity=args.intensity, radius=args.R, seed=args.seed)
     else:
         null_config = matched_null_config(args.p, args.R, args.seed)
+    _check_replicates(args.reps)
+    table = _prime_table(args, args.p - args.R, args.p + args.R)
     profile = deviation_profile(args.p, args.M, args.R, table, null_config, args.reps)
     header = ("p", "M", "R", "H", "null_mean", "null_stderr", "delta", "z_score")
     row = (profile.base_point, profile.M, profile.radius, profile.H_prime,
@@ -394,8 +370,8 @@ def cmd_deviation(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    lo, hi = args.range
     _check_finite("R", args.R, positive=True)
+    _, lo, hi = _check_ensemble_args(args.m, args.samples, args.range, args.M, args.hist_bins)
     table = _prime_table(args, lo - args.R, hi + args.R)
     dist = ensemble_distribution(args.m, args.samples, (lo, hi), args.R, args.M,
                                  args.seed, table, center=args.center,

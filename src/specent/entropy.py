@@ -21,6 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._json import as_json
 from .binning import LogBinning, log_bin
 from .distances import DistanceMultiset
 from .errors import DegenerateSpectrumError, EmptyDistancesError, InvalidArgumentError
@@ -48,12 +49,7 @@ class EntropyReport:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "H": float(self.H),
-            "weights": self.weights.tolist(),
-            "M": int(self.M),
-            "provenance": dict(self.provenance),
-        }
+        return as_json(self)
 
 
 def spectral_entropy(

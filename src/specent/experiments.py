@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._json import as_json
 from .binning import MAX_BINS, _check_bins, _integer_thresholds, log_bin_counts
 from .distances import pooled_distances, truncated_distances
 from .entropy import _entropy_of_rows, full_pipeline
@@ -46,13 +47,7 @@ class StabilityProfile:
     envelope: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "base_point": float(self.base_point),
-            "M": int(self.M),
-            "radii": self.radii.tolist(),
-            "H_values": self.H_values.tolist(),
-            "envelope": self.envelope.tolist(),
-        }
+        return as_json(self)
 
 
 @dataclass(frozen=True)
@@ -72,19 +67,7 @@ class DeviationProfile:
     null_replicates: int
 
     def to_dict(self) -> dict:
-        return {
-            "base_point": float(self.base_point),
-            "M": int(self.M),
-            "R": float(self.radius),
-            "H_prime": float(self.H_prime),
-            "null_mean": float(self.null_mean),
-            "null_stderr": float(self.null_stderr),
-            "delta": float(self.delta),
-            "z_score": float(self.z_score),
-            "null_lambda": float(self.null_intensity),
-            "null_seed": int(self.null_seed),
-            "null_replicates": int(self.null_replicates),
-        }
+        return as_json(self, rename={"radius": "R", "null_intensity": "null_lambda"})
 
 
 @dataclass(frozen=True)
@@ -109,21 +92,7 @@ class EnsembleDistribution:
         return float(self.quantiles[3] - self.quantiles[1])
 
     def to_dict(self) -> dict:
-        return {
-            "m": int(self.m),
-            "samples": self.samples.tolist(),
-            "hist_edges": self.hist_edges.tolist(),
-            "hist_counts": self.hist_counts.tolist(),
-            "quantile_levels": list(QUANTILE_LEVELS),
-            "quantiles": self.quantiles.tolist(),
-            "centered": bool(self.centered),
-            "centering": self.centering,
-            "baseline_mean": None if self.baseline_mean is None else float(self.baseline_mean),
-            "prime_range": [float(self.prime_range[0]), float(self.prime_range[1])],
-            "R": float(self.radius),
-            "M": int(self.M),
-            "seed": int(self.seed),
-        }
+        return as_json(self, rename={"radius": "R"}, quantile_levels=QUANTILE_LEVELS)
 
 
 def stability_profile(
@@ -224,20 +193,7 @@ def ensemble_distribution(
     :func:`full_pipeline` entropy of its :func:`aggregate_distances` bit for
     bit, and the first that fails raises what that pipeline raises.
     """
-    if m < 1:
-        raise InvalidArgumentError(f"m must be at least 1, got {m}")
-    if not 1 <= sample_count <= MAX_REPLICATES:
-        raise InvalidArgumentError(
-            f"sample_count must be at least 1 and at most {MAX_REPLICATES}, got {sample_count}"
-        )
-    M = _check_bins(M)
-    if not 1 <= hist_bins <= MAX_BINS:
-        raise InvalidArgumentError(
-            f"hist_bins must be at least 1 and at most {MAX_BINS}, got {hist_bins}"
-        )
-    lo, hi = float(prime_range[0]), float(prime_range[1])
-    if not lo < hi:
-        raise InvalidArgumentError(f"invalid prime range [{lo}, {hi}]")
+    M, lo, hi = _check_ensemble_args(m, sample_count, prime_range, M, hist_bins)
     candidates = table.between(lo, hi)
     if candidates.size < m:
         raise InvalidArgumentError(
@@ -279,6 +235,25 @@ def ensemble_distribution(
         seed=int(seed),
         baseline_mean=baseline_mean,
     )
+
+
+def _check_ensemble_args(m, sample_count, prime_range, M, hist_bins) -> tuple:
+    """Checked ``(M, lo, hi)`` of :func:`ensemble_distribution`'s arguments."""
+    if m < 1:
+        raise InvalidArgumentError(f"m must be at least 1, got {m}")
+    if not 1 <= sample_count <= MAX_REPLICATES:
+        raise InvalidArgumentError(
+            f"sample_count must be at least 1 and at most {MAX_REPLICATES}, got {sample_count}"
+        )
+    M = _check_bins(M)
+    if not 1 <= hist_bins <= MAX_BINS:
+        raise InvalidArgumentError(
+            f"hist_bins must be at least 1 and at most {MAX_BINS}, got {hist_bins}"
+        )
+    lo, hi = float(prime_range[0]), float(prime_range[1])
+    if not lo < hi:
+        raise InvalidArgumentError(f"invalid prime range [{lo}, {hi}]")
+    return M, lo, hi
 
 
 def _prefix_counts(bases: np.ndarray, table: PrimeTable, R: float, M: int):

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._json import as_json, write_json
 from .binning import _check_bins, _from_counts
 from .entropy import EntropyReport, _binned_entropy, _entropy_of_rows
 from .errors import (
@@ -84,17 +85,7 @@ class NullEstimate:
     degenerate_count: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "M": int(self.M),
-            "mean_H": float(self.mean_H),
-            "std_error": float(self.std_error),
-            "replicates": int(self.replicates),
-            "per_replicate_H": self.per_replicate_H.tolist(),
-            "lambda": float(self.intensity),
-            "R": float(self.radius),
-            "seed": int(self.seed),
-            "degenerate_count": int(self.degenerate_count),
-        }
+        return as_json(self, rename={"intensity": "lambda", "radius": "R"})
 
 
 @dataclass(frozen=True)
@@ -111,16 +102,7 @@ class StabilizationReport:
     stderr_dmin: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": float(self.intensity),
-            "seed": int(self.seed),
-            "replicates": int(self.replicates),
-            "radii": self.radii.tolist(),
-            "mean_abs_log_dmax_gap": self.mean_abs_log_dmax_gap.tolist(),
-            "mean_log_dmin": self.mean_log_dmin.tolist(),
-            "mean_dmin": self.mean_dmin.tolist(),
-            "stderr_dmin": self.stderr_dmin.tolist(),
-        }
+        return as_json(self, rename={"intensity": "lambda"})
 
 
 def _extrema(config: PoissonConfig, replicate: int):
@@ -279,16 +261,7 @@ class NullBaseline:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "M": int(self.M),
-            "mean": float(self.mean),
-            "stderr": float(self.stderr),
-            "lambda": float(self.intensity),
-            "R": float(self.radius),
-            "replicates": int(self.replicates),
-            "seed": int(self.seed),
-        }
+        return as_json(self, rename={"intensity": "lambda", "radius": "R"}, format_version=1)
 
 
 def baseline_from_estimate(estimate: NullEstimate) -> NullBaseline:
@@ -304,9 +277,7 @@ def baseline_from_estimate(estimate: NullEstimate) -> NullBaseline:
 
 
 def write_baseline(baseline: NullBaseline, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        json.dump(baseline.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, baseline.to_dict())
 
 
 def load_null_baseline(path: str | Path | None = None) -> NullBaseline:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._json import as_json
 from .binning import LogBinning
 from .errors import InvalidArgumentError
 
@@ -23,9 +24,7 @@ class Spectrum:
         return np.abs(self.amplitudes)
 
     def to_dict(self) -> dict:
-        return {
-            "amplitudes": [[float(z.real), float(z.imag)] for z in self.amplitudes],
-        }
+        return as_json(self)
 
 
 def log_spectrum(binning: LogBinning) -> Spectrum:

@@ -521,3 +521,98 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
     cached = payloads(fresh=False)
     assert cli._parser() is parser
     assert cached == fresh
+
+
+def test_baseline_out_creates_missing_directories(tmp_path, capsys):
+    base = tmp_path / "new" / "b.json"
+    code, _, err = run(["null", "--lambda", "1", "--R", "1e3", "--M", "8", "--reps", "4",
+                        "--seed", "1", "--baseline-out", str(base),
+                        "--out", str(tmp_path / "r.json")], capsys)
+    assert (code, err) == (0, "")
+    jsonschema.validate(json.loads(base.read_text()), load_schema("null_baseline"))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unwritable_out_exits_2(fmt, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / f"x.{fmt}"
+    code, _, err = run(["entropy", "--p", "101", "--R", "50", "--M", "8",
+                        "--format", fmt, "--out", str(out)], capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"InvalidArgumentError: cannot write {out}: ")
+
+
+def _refuse_to_sieve(*args):
+    raise AssertionError("a prime table was built")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--hist-bins", "0"], f"hist_bins must be at least 1 and at most {MAX_BINS}, got 0"),
+    (["--m", "0"], "m must be at least 1, got 0"),
+    (["--samples", "2e7"], "sample_count must be at least 1 and at most 10000000, got 20000000"),
+    (["--range", "2e4:1.9e4"], "invalid prime range [20000.0, 19000.0]"),
+])
+@pytest.mark.parametrize("source", [[], ["--n-primes", "3000"], ["--prime-limit", "3e4"]])
+def test_bad_ensemble_flags_exit_2_before_sieving(argv, message, source, monkeypatch,
+                                                   tmp_path, capsys):
+    from specent import cli
+
+    for name in ("primes_in_window", "sieve_up_to", "first_n_primes"):
+        monkeypatch.setattr(cli, name, _refuse_to_sieve)
+    flags = {"--m": "2", "--samples": "3", "--range": "1e4:2e4", "--R": "1e3", "--M": "8",
+             "--seed": "1", **dict(zip(argv[::2], argv[1::2]))}
+    command = ["ensemble", *(item for pair in flags.items() for item in pair)]
+    code, _, err = run(command + source + ["--out", str(tmp_path / "r.json")], capsys)
+    assert code == 2
+    assert err == f"InvalidArgumentError: {message}\n"
+
+
+def test_deviation_reps_above_cap_exits_2_before_sieving(monkeypatch, tmp_path, capsys):
+    from specent import cli
+
+    monkeypatch.setattr(cli, "primes_in_window", _refuse_to_sieve)
+    code, _, err = run(["deviation", "--p", "101", "--R", "1e3", "--M", "8", "--reps", "1e8",
+                        "--seed", "1", "--out", str(tmp_path / "r.json")], capsys)
+    assert code == 2
+    assert err == "InvalidArgumentError: replicates must be at most 10000000, got 100000000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--p", "101", "--R", "50", "--M", "8", "--n-primes", "1e12"],
+    ["entropy", "--p", "101", "--R", "50", "--M", "8", "--prime-limit", "1e15"],
+    ["entropy", "--p", "4e15", "--R", "4e15", "--M", "8"],
+    ["ensemble", "--m", "2", "--samples", "3", "--range", "1e4:1e15", "--R", "1e3",
+     "--M", "8", "--seed", "1"],
+])
+def test_prime_table_above_budget_exits_2(argv, monkeypatch, tmp_path, capsys):
+    # Without the budget these would start sieves of 1e13 integers or more.
+    from specent import primes
+
+    monkeypatch.setattr(primes, "_sieve_segments", _refuse_to_sieve)
+    monkeypatch.setattr(primes, "_flat_sieve", _refuse_to_sieve)
+    code, _, err = run(argv + ["--out", str(tmp_path / "r.json")], capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("InvalidArgumentError: prime window [")
+    assert "a prime table spans at most 2**30" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--p", "101", "--R", "500", "--M", "8"],
+    ["null", "--R", "1e3", "--M", "8", "--reps", "4", "--seed", "1"],
+    ["null", "--check-stabilization", "--R-grid", "1e2,1e3", "--reps", "4", "--seed", "1"],
+    ["cramer", "--N", "1e5", "--R", "1e3", "--M", "8", "--seed", "1"],
+    ["stability", "--p", "101", "--M", "8", "--R-grid", "1e2,1e3"],
+    ["deviation", "--p", "101", "--R", "1e3", "--M", "8", "--reps", "4", "--seed", "1"],
+    ["ensemble", "--m", "2", "--samples", "3", "--range", "1e4:2e4", "--R", "1e3",
+     "--M", "8", "--seed", "1"],
+])
+def test_result_keys_are_exactly_the_schema_properties(argv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(argv + ["--out", str(out)], capsys)[0] == 0
+    payload = validate_payload(out)
+    schema = load_schema(payload["schema"].rsplit("/", 1)[1])
+    assert set(payload["result"]) == set(schema["properties"]) == set(schema["required"])

@@ -11,6 +11,7 @@ from specent import (
     primes_in_window,
     sieve_up_to,
 )
+from specent import primes
 from specent.primes import _SEGMENT_SPAN
 
 from oracles import oracle_primes, oracle_primes_in_window, oracle_sieve
@@ -147,6 +148,39 @@ def test_window_rejects_empty_and_oversized():
     # The 2**53 cap is checked before any sieving.
     with pytest.raises(InvalidArgumentError, match=r"2\*\*53"):
         primes_in_window(2**53 - 10, 2**53 + 1)
+
+
+@pytest.mark.parametrize("call, args", [
+    (primes_in_window, (math.nan, 10)),
+    (primes_in_window, (0, math.nan)),
+    (primes_in_window, (math.inf, 10)),
+    (primes_in_window, (0, -math.inf)),
+    (sieve_up_to, (math.nan,)),
+    (sieve_up_to, (math.inf,)),
+    (first_n_primes, (math.nan,)),
+    (first_n_primes, (math.inf,)),
+    (primes_in_window, (10, 10 + 2**30)),
+    (sieve_up_to, (2**30,)),
+    (first_n_primes, (10**12,)),
+])
+def test_non_finite_ends_and_spans_above_budget_rejected_before_sieving(call, args, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(primes, "_sieve_segments", refuse)
+    monkeypatch.setattr(primes, "_flat_sieve", refuse)
+    with pytest.raises(InvalidArgumentError):
+        call(*args)
+
+
+def test_largest_span_within_budget_is_sieved(monkeypatch):
+    # A stand-in for the segment sieve: only the span check is under test.
+    def three_values(lo, hi, base):
+        return [np.arange(lo, lo + 3)]
+
+    monkeypatch.setattr(primes, "_sieve_segments", three_values)
+    assert primes_in_window(10, 9 + 2**30).limit == 9 + 2**30
+    assert len(sieve_up_to(2**30 - 1)) == 3
 
 
 def test_window_near_1e12_matches_miller_rabin():

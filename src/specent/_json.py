@@ -40,10 +40,13 @@ def as_json(result, rename: dict | None = None, omit: tuple = (), **extra) -> di
 def open_output(path, newline: str | None = None):
     """``path`` opened for writing UTF-8 text, its missing parent directories
     made; an ``OSError`` on the way becomes ``InvalidArgumentError``."""
+    parent = Path(path).parent
     try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline=newline) as handle:
             yield handle
+    except FileExistsError:  # mkdir found a file where the parent should be
+        raise InvalidArgumentError(f"cannot write {path}: {parent} is not a directory") from None
     except OSError as exc:
         raise InvalidArgumentError(f"cannot write {path}: {exc}") from None
 

@@ -131,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=float, required=True, help="base point")
     sub.add_argument("--R", type=float, required=True, help="truncation radius")
     sub.add_argument("--M", type=_int_arg, required=True, help="number of log bins")
-    sub.add_argument("--squared-weights", action="store_true",
-                     help="weight by squared spectral magnitudes")
     _add_prime_source_args(sub, with_points_file=True)
     _add_threads_arg(sub)
     _add_output_args(sub)
@@ -285,7 +283,7 @@ def cmd_entropy(args) -> int:
         prov["model"] = "primes"
         prov["source"] = _table_provenance(table)
         dm = truncated_distances(args.p, table, args.R)
-    report = full_pipeline(dm, args.M, squared=args.squared_weights, provenance=prov)
+    report = full_pipeline(dm, args.M, provenance=prov)
     rows = [(k + 1, w, report.H) for k, w in enumerate(report.weights)]
     _emit(args, "entropy_report", report.to_dict(), ("k", "weight", "H"), rows)
     print(f"H = {report.H:.12g}")
@@ -315,11 +313,12 @@ def cmd_null(args) -> int:
         raise InvalidArgumentError("--reps is required unless --check-stabilization is given")
     config = PoissonConfig(intensity=args.intensity, radius=args.R, seed=args.seed)
     estimate = estimate_null_entropy(args.M, config, args.reps)
+    rows = [(i + 1, h) for i, h in enumerate(estimate.per_replicate_H)]
+    _emit(args, "null_estimate", estimate.to_dict(), ("replicate", "H"), rows)
+    # The baseline goes last, so a run that fails leaves none for readers to load.
     if args.baseline_out is not None:
         write_baseline(baseline_from_estimate(estimate), args.baseline_out)
         print(f"wrote {args.baseline_out}")
-    rows = [(i + 1, h) for i, h in enumerate(estimate.per_replicate_H)]
-    _emit(args, "null_estimate", estimate.to_dict(), ("replicate", "H"), rows)
     if estimate.degenerate_count:
         print(f"excluded {estimate.degenerate_count} degenerate replicate(s)")
     print(f"H_null = {estimate.mean_H:.12g} +/- {estimate.std_error:.12g} "
@@ -371,10 +370,11 @@ def cmd_deviation(args) -> int:
 
 def cmd_ensemble(args) -> int:
     _check_finite("R", args.R, positive=True)
-    _, lo, hi = _check_ensemble_args(args.m, args.samples, args.range, args.M, args.hist_bins)
+    _, lo, hi, baseline = _check_ensemble_args(args.m, args.samples, args.range, args.M,
+                                               args.hist_bins, args.center)
     table = _prime_table(args, lo - args.R, hi + args.R)
     dist = ensemble_distribution(args.m, args.samples, (lo, hi), args.R, args.M,
-                                 args.seed, table, center=args.center,
+                                 args.seed, table, center=args.center, baseline=baseline,
                                  hist_bins=args.hist_bins)
     rows = [(i + 1, h) for i, h in enumerate(dist.samples)]
     _emit(args, "ensemble_distribution", dist.to_dict(), ("sample", "H"), rows)

@@ -12,6 +12,10 @@ unit phase because the phase fractions span ``(M-1)`` steps), giving
 weights ``(4/11, 1/22 x 6, 4/11)`` and
 
     H = -2*(4/11)*log(4/11) - 6*(1/22)*log(1/22) ~= 1.57872.
+
+Single reports and sampler rows alike map their log-bin counts to entropy
+through one kernel, ``_count_entropy``; :func:`spectral_entropy` of a
+``log_spectrum`` is the public per-stage path to the same bits.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from typing import Mapping
 import numpy as np
 
 from ._json import as_json
-from .binning import LogBinning, log_bin
+from .binning import log_bin_counts
 from .distances import DistanceMultiset
 from .errors import DegenerateSpectrumError, EmptyDistancesError, InvalidArgumentError
 from .parallel import ordered_map
-from .spectrum import Spectrum, folded_fft, log_spectrum
+from .spectrum import Spectrum, folded_fft
 
 # Most values one block holds: the bins of its count rows, or the
 # rows x m x (M - 1) table lookups of an ensemble block's prefix counts, so
@@ -52,39 +56,31 @@ class EntropyReport:
         return as_json(self)
 
 
-def spectral_entropy(
-    spectrum: Spectrum,
-    *,
-    squared: bool = False,
-    provenance: Mapping | None = None,
-) -> EntropyReport:
+def spectral_entropy(spectrum: Spectrum, *, provenance: Mapping | None = None) -> EntropyReport:
     """Entropy of the magnitude-normalized spectrum, in nats.
 
-    Weights are linear magnitudes by default; ``squared=True`` switches to
-    power weights, an exploratory variant not used by any shipped baseline
-    or check.  The sum runs over strictly positive weights only, so zero
-    weights contribute exactly zero and a spectrum with a single nonzero
-    magnitude has entropy exactly 0.0 -- no epsilon regularization.
+    The sum runs over strictly positive weights only, so zero weights
+    contribute exactly zero and a spectrum with a single nonzero magnitude
+    has entropy exactly 0.0 -- no epsilon regularization.
     """
-    w, H = entropy_weights(np.abs(spectrum.amplitudes), squared=squared)
+    w, H = entropy_weights(np.abs(spectrum.amplitudes))
     return EntropyReport(H=float(H), weights=w, M=int(w.size), provenance=dict(provenance or {}))
 
 
-def entropy_weights(magnitudes: np.ndarray, *, squared: bool = False):
+def entropy_weights(magnitudes: np.ndarray):
     """Weights and entropy of every row of a ``(..., M)`` magnitude array.
 
     Returns ``(w, H)``, with ``w`` shaped like ``magnitudes`` and ``H`` like
     ``magnitudes[..., 0]``.  This is the one implementation of the weights
-    and the entropy sum that :func:`spectral_entropy` reports.  Raises
-    ``DegenerateSpectrumError`` if any row sums to zero.
+    and the entropy sum, which every entropy specent reports goes through.
+    Raises ``DegenerateSpectrumError`` if any row sums to zero.
     """
-    a = magnitudes * magnitudes if squared else magnitudes
-    total = a.sum(axis=-1, keepdims=True)
+    total = magnitudes.sum(axis=-1, keepdims=True)
     # count_nonzero and min cost less than all() on the small 1-D spectra of
     # single reports such as full_pipeline's.
     if np.count_nonzero(total) < total.size:
         raise DegenerateSpectrumError("all spectral magnitudes are zero")
-    w = a / total
+    w = magnitudes / total
     if w.min() > 0:
         return w, _entropy_sum(w)
     # A row with a zero weight sums its positive terms only: summing the
@@ -100,20 +96,25 @@ def _entropy_sum(w: np.ndarray):
 
 
 def entropy_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Spectral entropy of every row of a ``(..., M)`` bin-count array.
+    """Spectral entropy of every row of a ``(..., M)`` bin-count array: the
+    ``H`` of :func:`_count_entropy`, which raises what it raises."""
+    return _count_entropy(counts)[1]
 
-    Row for row this is bit-identical to :func:`spectral_entropy` of the
-    :func:`log_spectrum` of the row's :class:`LogBinning`, without building
-    those objects.  Raises ``InvalidArgumentError`` if any count is
-    negative and ``EmptyDistancesError`` if any row sums to zero, where the
-    per-sample pipeline would have had no distances to bin.
+
+def _count_entropy(counts: np.ndarray):
+    """``(w, H)`` of :func:`entropy_weights` for every row of a ``(..., M)``
+    bin-count array, row for row bit-identical to :func:`spectral_entropy`
+    of the ``log_spectrum`` of the row's ``LogBinning``.  Raises
+    ``InvalidArgumentError`` if any count is negative and
+    ``EmptyDistancesError`` if any row sums to zero, where the per-sample
+    pipeline would have had no distances to bin.
     """
     if counts.min() < 0:
         raise InvalidArgumentError("bin counts must be non-negative")
     totals = counts.sum(axis=-1, keepdims=True)
     if np.count_nonzero(totals) < totals.size:
         raise EmptyDistancesError("No distances available")
-    return entropy_weights(np.abs(folded_fft(counts / totals)))[1]
+    return entropy_weights(np.abs(folded_fft(counts / totals)))
 
 
 def _entropy_of_rows(item, count: int, width: int, rows=np.stack) -> np.ndarray:
@@ -129,24 +130,16 @@ def _entropy_of_rows(item, count: int, width: int, rows=np.stack) -> np.ndarray:
 
 
 def full_pipeline(
-    distances: DistanceMultiset,
-    M: int,
-    *,
-    squared: bool = False,
-    provenance: Mapping | None = None,
+    distances: DistanceMultiset, M: int, *, provenance: Mapping | None = None
 ) -> EntropyReport:
     """Bin, transform, and compress a distance multiset to its entropy.
 
     Single-report entry point of the Cramér model, the deviation probe and
-    the CLI; sampler loops get the same bits from count rows.  Errors from
-    the individual stages propagate unchanged.
+    the CLI; its log-bin counts go through the sampler rows' count kernel.
+    Errors from the individual stages propagate unchanged.
     """
     prov = {"radius": float(distances.radius), "count": len(distances)}
     if provenance:
         prov.update(provenance)
-    return _binned_entropy(log_bin(distances, M), squared=squared, provenance=prov)
-
-
-def _binned_entropy(binning: LogBinning, **options) -> EntropyReport:
-    """The stages after binning; :func:`null_entropy_once` enters here with drawn counts."""
-    return spectral_entropy(log_spectrum(binning), **options)
+    w, H = _count_entropy(log_bin_counts(distances.values, M)[0])
+    return EntropyReport(H=float(H), weights=w, M=int(w.size), provenance=prov)

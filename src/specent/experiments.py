@@ -193,20 +193,14 @@ def ensemble_distribution(
     :func:`full_pipeline` entropy of its :func:`aggregate_distances` bit for
     bit, and the first that fails raises what that pipeline raises.
     """
-    M, lo, hi = _check_ensemble_args(m, sample_count, prime_range, M, hist_bins)
+    M, lo, hi, baseline = _check_ensemble_args(m, sample_count, prime_range, M, hist_bins,
+                                               center, baseline)
     candidates = table.between(lo, hi)
     if candidates.size < m:
         raise InvalidArgumentError(
             f"only {candidates.size} primes in [{lo}, {hi}], need at least {m}"
         )
-
-    baseline_mean = None
-    if center:
-        baseline = load_null_baseline() if baseline is None else baseline
-        if baseline.M != M:
-            raise InvalidArgumentError(f"the null baseline is at M = {baseline.M}, "
-                                       f"but the ensemble is at M = {M}")
-        baseline_mean = float(baseline.mean)
+    baseline_mean = float(baseline.mean) if center else None
 
     def draw(i: int) -> np.ndarray:
         return generator(seed, i).choice(candidates, size=m, replace=False)
@@ -237,8 +231,11 @@ def ensemble_distribution(
     )
 
 
-def _check_ensemble_args(m, sample_count, prime_range, M, hist_bins) -> tuple:
-    """Checked ``(M, lo, hi)`` of :func:`ensemble_distribution`'s arguments."""
+def _check_ensemble_args(m, sample_count, prime_range, M, hist_bins, center=False,
+                         baseline=None) -> tuple:
+    """Checked ``(M, lo, hi, baseline)`` of :func:`ensemble_distribution`'s
+    arguments; with ``center`` the baseline is resolved (the shipped table
+    unless given) and must be at ``M``."""
     if m < 1:
         raise InvalidArgumentError(f"m must be at least 1, got {m}")
     if not 1 <= sample_count <= MAX_REPLICATES:
@@ -253,7 +250,12 @@ def _check_ensemble_args(m, sample_count, prime_range, M, hist_bins) -> tuple:
     lo, hi = float(prime_range[0]), float(prime_range[1])
     if not lo < hi:
         raise InvalidArgumentError(f"invalid prime range [{lo}, {hi}]")
-    return M, lo, hi
+    if center:
+        baseline = load_null_baseline() if baseline is None else baseline
+        if baseline.M != M:
+            raise InvalidArgumentError(f"the null baseline is at M = {baseline.M}, "
+                                       f"but the ensemble is at M = {M}")
+    return M, lo, hi, baseline
 
 
 def _prefix_counts(bases: np.ndarray, table: PrimeTable, R: float, M: int):

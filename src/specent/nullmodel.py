@@ -9,6 +9,8 @@ so with ``s = log(d_max / d_min)`` their counts are multinomial with bin
 ``j`` weighted by ``exp(s j / M)``.  So ``lambda`` and ``R`` matter only
 through ``lambda R``.  Replicate ``i`` of base seed ``s`` draws from the
 Philox sub-stream ``spawn_key=(i,)`` of ``s`` (see :mod:`specent.rng`).
+A single replicate's counts and the count rows of an estimate go through
+the same count kernel of :mod:`specent.entropy`.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from ._json import as_json, write_json
-from .binning import _check_bins, _from_counts
-from .entropy import EntropyReport, _binned_entropy, _entropy_of_rows
+from .binning import _check_bins
+from .entropy import EntropyReport, _count_entropy, _entropy_of_rows
 from .errors import (
     ConfigurationError,
     DegenerateRangeError,
@@ -128,25 +130,25 @@ def _extrema(config: PoissonConfig, replicate: int):
 
 def null_entropy_once(config: PoissonConfig, M: int, replicate: int = 0) -> EntropyReport:
     """Entropy of one replicate, from its bin counts drawn exactly."""
-    M = _check_bins(M)
-    counts, n, log_min, log_max = _replicate_counts(config, M, replicate)
+    counts, n = _replicate_counts(config, _check_bins(M), replicate)
+    w, H = _count_entropy(counts)
     provenance = {"radius": float(config.radius), "count": n, "model": "poisson",
                   "lambda": float(config.intensity), "R": float(config.radius),
                   "seed": int(config.seed), "replicate": int(replicate)}
-    return _binned_entropy(_from_counts(counts, log_min, log_max), provenance=provenance)
+    return EntropyReport(H=float(H), weights=w, M=int(w.size), provenance=provenance)
 
 
 def _replicate_counts(config: PoissonConfig, M: int, replicate: int):
-    """Replicate ``replicate``'s ``(counts, n, log d_min, log d_max)`` over ``M`` bins;
-    raises EmptyDistancesError or DegenerateRangeError for a degenerate one."""
-    rng, n, log_max, log_ratio = _extrema(config, replicate)
+    """Replicate ``replicate``'s ``(counts, n)`` over ``M`` bins; raises
+    EmptyDistancesError or DegenerateRangeError for a degenerate one."""
+    rng, n, _, log_ratio = _extrema(config, replicate)
     if log_ratio == 0.0:
         raise DegenerateRangeError(f"{n} point(s) with equal log distances")
     weights = np.exp(log_ratio * (np.arange(1, M + 1) - M) / M)
     counts = rng.multinomial(n - 2, weights / weights.sum())
     counts[0] += 1
     counts[-1] += 1
-    return counts, n, log_max - log_ratio, log_max
+    return counts, n
 
 
 def _check_replicates(replicates: int) -> None:

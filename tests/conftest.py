@@ -24,21 +24,23 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-_original_spectral_entropy = entropy_module.spectral_entropy
+_original_entropy_weights = entropy_module.entropy_weights
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _record_all_entropies():
-    # full_pipeline resolves spectral_entropy through the module globals at
-    # call time, so wrapping here observes every pipeline-produced report.
-    def recording(spectrum, **kwargs):
-        report = _original_spectral_entropy(spectrum, **kwargs)
-        RECORDED_ENTROPIES.append((report.H, report.M))
-        return report
+    # Every entropy, single report or batched row, comes out of
+    # entropy_weights, which its callers resolve through the module globals
+    # at call time; wrapping it here records each row's (H, M).
+    def recording(magnitudes):
+        w, H = _original_entropy_weights(magnitudes)
+        M = w.shape[-1]
+        RECORDED_ENTROPIES.extend((h, M) for h in np.ravel(H).tolist())
+        return w, H
 
-    entropy_module.spectral_entropy = recording
+    entropy_module.entropy_weights = recording
     yield
-    entropy_module.spectral_entropy = _original_spectral_entropy
+    entropy_module.entropy_weights = _original_entropy_weights
 
 
 @pytest.fixture(scope="session")

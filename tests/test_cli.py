@@ -480,9 +480,11 @@ def test_replicates_and_samples_above_cap_exit_2(argv, tmp_path, capsys):
 
 def test_usage_errors_are_one_line(capsys):
     cramer = ["cramer", "--N", "1e5", "--R", "1e2", "--M", "8", "--seed", "1"]
-    removed_flags = (["--rescale"], ["--no-rescale"], ["--rescale-mode", "per-gap"])
+    entropy = ["entropy", "--p", "101", "--R", "50", "--M", "8"]
+    removed_flags = (cramer + ["--rescale"], cramer + ["--no-rescale"],
+                     cramer + ["--rescale-mode", "per-gap"], entropy + ["--squared-weights"])
     for argv in (["frobnicate"], ["entropy", "--p", "1"], ["null", "--seed", "x"], [],
-                 *(cramer + flags for flags in removed_flags)):
+                 *removed_flags):
         code, _, err = run(argv, capsys)
         assert code == 2
         assert len(err.strip().splitlines()) == 1
@@ -544,6 +546,21 @@ def test_unwritable_out_exits_2(fmt, tmp_path, capsys):
     assert err.startswith(f"InvalidArgumentError: cannot write {out}: ")
 
 
+def test_null_with_unwritable_out_leaves_no_baseline(tmp_path, capsys):
+    # The result is written first, so a run that fails there writes no
+    # baseline for SPECENT_NULL_BASELINE readers to load.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    base = tmp_path / "left.json"
+    out = blocker / "x.json"
+    code, stdout, err = run(["null", "--lambda", "1", "--R", "1e3", "--M", "8", "--reps", "4",
+                             "--seed", "1", "--baseline-out", str(base), "--out", str(out)],
+                            capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"InvalidArgumentError: cannot write {out}: {blocker} is not a directory\n"
+    assert not base.exists()
+
+
 def _refuse_to_sieve(*args):
     raise AssertionError("a prime table was built")
 
@@ -567,6 +584,23 @@ def test_bad_ensemble_flags_exit_2_before_sieving(argv, message, source, monkeyp
     code, _, err = run(command + source + ["--out", str(tmp_path / "r.json")], capsys)
     assert code == 2
     assert err == f"InvalidArgumentError: {message}\n"
+
+
+@pytest.mark.parametrize("source", [[], ["--n-primes", "3000"], ["--prime-limit", "3e4"]])
+def test_center_baseline_at_another_M_exits_2_before_sieving(source, monkeypatch, tmp_path,
+                                                             capsys):
+    from specent import cli
+    from specent.nullmodel import BASELINE_ENV_VAR
+
+    monkeypatch.delenv(BASELINE_ENV_VAR, raising=False)
+    for name in ("primes_in_window", "sieve_up_to", "first_n_primes"):
+        monkeypatch.setattr(cli, name, _refuse_to_sieve)
+    code, _, err = run(["ensemble", "--m", "2", "--samples", "3", "--range", "1e4:1e8",
+                        "--R", "1e3", "--M", "8", "--seed", "1", "--center", *source,
+                        "--out", str(tmp_path / "r.json")], capsys)
+    assert code == 2
+    assert err == ("InvalidArgumentError: the null baseline is at M = 50, "
+                   "but the ensemble is at M = 8\n")
 
 
 def test_deviation_reps_above_cap_exits_2_before_sieving(monkeypatch, tmp_path, capsys):

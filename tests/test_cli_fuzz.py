@@ -32,7 +32,7 @@ VALUES = {
     "--threads": ["1", "3", "0", "-2", "x"],
     "--format": ["json", "csv", "xml"],
 }
-SWITCHES = ["--squared-weights", "--check-stabilization", "--center"]
+SWITCHES = ["--check-stabilization", "--center"]
 # A valid value for every required flag, so that most examples get past the
 # parser and into the commands.
 REQUIRED = {
@@ -48,7 +48,7 @@ REQUIRED = {
 
 COMMON = ["--threads", "--format", "--p"]  # --p is foreign to three commands
 OPTIONAL = {
-    "entropy": ["--squared-weights", "--n-primes", "--prime-limit"],
+    "entropy": ["--n-primes", "--prime-limit"],
     "null": ["--lambda", "--M", "--check-stabilization", "--R-grid"],
     "cramer": ["--base"],
     "stability": ["--n-primes", "--prime-limit"],

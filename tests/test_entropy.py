@@ -70,15 +70,6 @@ def test_weights_normalized_and_bounded(rng_numpy):
     assert 0.0 <= report.H <= math.log(16) + 1e-12
 
 
-def test_squared_weighting_differs():
-    z = np.array([1.0, 0.5, 0.25, 0.125])
-    linear = spectral_entropy(spectrum_of(z)).H
-    squared = spectral_entropy(spectrum_of(z), squared=True).H
-    assert squared < linear  # squaring sharpens the weight distribution
-    w = np.abs(z) ** 2 / np.sum(np.abs(z) ** 2)
-    assert squared == pytest.approx(-np.sum(w * np.log(w)), abs=1e-14)
-
-
 def test_full_pipeline_matches_oracle(table_10k):
     H = full_pipeline(truncated_distances(101, table_10k, 5000), 50).H
     ref = oracle_pipeline(101, table_10k.primes.tolist(), 5000, 50)
@@ -106,14 +97,13 @@ def test_kernel_rows_with_zero_weights_match_spectral_entropy(rng_numpy):
         rows[0] = 0.0
         rows[0, M // 2] = 2.5  # one nonzero magnitude: H is exactly 0
         rows[1] = rng_numpy.random(M) + 0.1  # no zero at all
-        for squared in (False, True):
-            w, H = entropy_weights(rows, squared=squared)
-            assert H.shape == (12,)
-            for i, row in enumerate(rows):
-                report = spectral_entropy(spectrum_of(row), squared=squared)
-                assert H[i].hex() == report.H.hex()
-                assert np.array_equal(w[i], report.weights)
-            assert H[0] == 0.0
+        w, H = entropy_weights(rows)
+        assert H.shape == (12,)
+        for i, row in enumerate(rows):
+            report = spectral_entropy(spectrum_of(row))
+            assert H[i].hex() == report.H.hex()
+            assert np.array_equal(w[i], report.weights)
+        assert H[0] == 0.0
 
 
 def test_kernel_rejects_a_zero_row_anywhere_in_the_stack():

@@ -265,8 +265,6 @@ def test_batched_samples_span_several_kernel_blocks(table):
 
 
 def test_ensemble_samples_lie_in_entropy_bounds(table):
-    # The batched kernel bypasses spectral_entropy, so the suite-wide bounds
-    # audit no longer sees these samples; check them here.
     for M in (2, 50, 1000):
         samples = ensemble_distribution(3, 40, (10**4, 10**5), 1e4, M, 2, table).samples
         assert np.all(samples >= 0.0)
@@ -311,8 +309,6 @@ def test_stability_values_equal_per_radius_pipeline(table, M):
         profile = stability_profile(p, M, radii, source)
         expected = [full_pipeline(truncated_distances(p, source, r), M).H for r in radii]
         assert [h.hex() for h in profile.H_values.tolist()] == [h.hex() for h in expected]
-        # The kernel bypasses spectral_entropy, so the suite-wide bounds
-        # audit does not see these values; check them here.
         assert np.all(profile.H_values >= 0.0)
         assert np.all(profile.H_values <= math.log(M))
 

@@ -234,8 +234,6 @@ def test_batched_null_values_equal_single_replicate_reports(M, lam_r):
     expected, degenerate = _single_report_values(config, M, 70)
     assert [h.hex() for h in est.per_replicate_H.tolist()] == [h.hex() for h in expected]
     assert est.degenerate_count == degenerate
-    # The kernel bypasses spectral_entropy, so the suite-wide bounds audit
-    # does not see these values; check them here.
     assert np.all(est.per_replicate_H >= 0.0)
     assert np.all(est.per_replicate_H <= math.log(M))
 

@@ -1,8 +1,8 @@
 """Audit every entropy computed during the suite against the hard bounds.
 
 This module sorts last alphabetically so the recorder in conftest has seen
-every spectral_entropy call made by the other test modules by the time it
-runs.  The 1e-12 slack absorbs float rounding in the -sum(w log w)
+every entropy_weights row computed by the other test modules by the time
+it runs.  The 1e-12 slack absorbs float rounding in the -sum(w log w)
 accumulation; the mathematical bound is 0 <= H <= log M.
 """
 

@@ -30,14 +30,15 @@ import numpy as np
 
 from . import __version__
 from ._json import open_output, plain, write_json
-from .binning import MAX_BINS
+from .binning import _check_bins
 from .cramer import CramerConfig, cramer_entropy
-from .distances import read_values, truncated_distances
-from .entropy import full_pipeline
+from .distances import _check_window, read_values, truncated_distances
+from .entropy import EntropyReport, full_pipeline
 from .errors import InvalidArgumentError, SpecentError
 from .experiments import (
     QUANTILE_LEVELS,
     _check_ensemble_args,
+    _check_radii,
     deviation_profile,
     ensemble_distribution,
     matched_null_config,
@@ -89,18 +90,6 @@ def _range_arg(text: str) -> tuple:
     return (_int_arg(parts[0]), _int_arg(parts[1]))
 
 
-def _add_output_args(sub) -> None:
-    sub.add_argument("--format", choices=("json", "csv"), default="json",
-                     help="result file format (default json)")
-    sub.add_argument("--out", default=None,
-                     help="result path (default <subcommand>_result.<ext>)")
-
-
-def _add_threads_arg(sub) -> None:
-    sub.add_argument("--threads", type=_int_arg, default=None,
-                     help="accepted for compatibility; has no effect (every loop runs serially)")
-
-
 def _add_prime_source_args(sub, with_points_file: bool = False) -> None:
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--n-primes", type=_int_arg, default=None,
@@ -125,18 +114,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral entropy of log-binned distance distributions.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--threads", type=_int_arg, default=None,
+                        help="accepted for compatibility; has no effect (every loop runs serially)")
+    shared.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="result file format (default json)")
+    shared.add_argument("--out", default=None,
+                        help="result path (default <subcommand>_result.<ext>)")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    sub = subparsers.add_parser("entropy", help="entropy of one truncated multiset")
+    def command(name: str, handler, summary: str):
+        sub = subparsers.add_parser(name, parents=[shared], help=summary)
+        sub.set_defaults(func=handler)
+        return sub
+
+    sub = command("entropy", cmd_entropy, "entropy of one truncated multiset")
     sub.add_argument("--p", type=float, required=True, help="base point")
     sub.add_argument("--R", type=float, required=True, help="truncation radius")
     sub.add_argument("--M", type=_int_arg, required=True, help="number of log bins")
     _add_prime_source_args(sub, with_points_file=True)
-    _add_threads_arg(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=cmd_entropy)
 
-    sub = subparsers.add_parser("null", help="Poisson null estimate or stabilization scan")
+    sub = command("null", cmd_null, "Poisson null estimate or stabilization scan")
     sub.add_argument("--lambda", dest="intensity", type=float, default=1.0,
                      help="Poisson intensity (default 1.0)")
     sub.add_argument("--R", type=float, default=None, help="truncation radius")
@@ -149,32 +147,23 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated radii, e.g. 1e3,1e4,1e5")
     sub.add_argument("--baseline-out", default=None,
                      help="also write the estimate as a reusable baseline file")
-    _add_threads_arg(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=cmd_null)
 
-    sub = subparsers.add_parser("cramer", help="entropy of a random pseudoprime set")
+    sub = command("cramer", cmd_cramer, "entropy of a random pseudoprime set")
     sub.add_argument("--N", type=_int_arg, required=True, help="upper bound of the ground set")
     sub.add_argument("--R", type=float, required=True, help="truncation radius")
     sub.add_argument("--M", type=_int_arg, required=True, help="number of log bins")
     sub.add_argument("--seed", type=_int_arg, required=True, help="RNG seed")
     sub.add_argument("--base", type=float, default=None,
                      help="requested base coordinate (default N/2); snapped to the nearest member")
-    _add_threads_arg(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=cmd_cramer)
 
-    sub = subparsers.add_parser("stability", help="H versus truncation radius")
+    sub = command("stability", cmd_stability, "H versus truncation radius")
     sub.add_argument("--p", type=float, required=True, help="base point")
     sub.add_argument("--M", type=_int_arg, required=True, help="number of log bins")
     sub.add_argument("--R-grid", type=_grid_arg, required=True,
                      help="comma-separated radii, e.g. 1e3,1e4,1e5,1e6")
     _add_prime_source_args(sub)
-    _add_threads_arg(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=cmd_stability)
 
-    sub = subparsers.add_parser("deviation", help="H minus the matched Poisson null")
+    sub = command("deviation", cmd_deviation, "H minus the matched Poisson null")
     sub.add_argument("--p", type=float, required=True, help="base point")
     sub.add_argument("--R", type=float, required=True, help="truncation radius")
     sub.add_argument("--M", type=_int_arg, required=True, help="number of log bins")
@@ -183,11 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--lambda", dest="intensity", type=float, default=None,
                      help="null intensity (default 1/log p)")
     _add_prime_source_args(sub)
-    _add_threads_arg(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=cmd_deviation)
 
-    sub = subparsers.add_parser("ensemble", help="H distribution over base-point samples")
+    sub = command("ensemble", cmd_ensemble, "H distribution over base-point samples")
     sub.add_argument("--m", type=_int_arg, required=True, help="base points per sample")
     sub.add_argument("--samples", type=_int_arg, required=True, help="number of samples")
     sub.add_argument("--range", type=_range_arg, required=True, metavar="LO:HI",
@@ -200,37 +186,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--hist-bins", type=_int_arg, default=20,
                      help="histogram resolution (default 20)")
     _add_prime_source_args(sub)
-    _add_threads_arg(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=cmd_ensemble)
 
     return parser
-
-
-def _check_finite(name: str, *values: float, positive: bool = False) -> None:
-    """Reject a non-finite (or, with ``positive``, a non-positive) flag value."""
-    for value in values:
-        if not math.isfinite(value) or (positive and value <= 0):
-            kind = "positive and finite" if positive else "finite"
-            raise InvalidArgumentError(f"--{name} must be {kind}, got {value}")
 
 
 def _prime_table(args, lo: float, hi: float) -> PrimeTable:
     """The prime source for a command that reads primes in ``[lo, hi]``.
 
     ``--n-primes`` and ``--prime-limit`` select a table from 0 up; without
-    them only the window itself is sieved.
+    them only the window itself is sieved.  Callers check their flags first.
     """
-    if getattr(args, "n_primes", None) is not None:
+    if args.n_primes is not None:
         return first_n_primes(args.n_primes)
-    if getattr(args, "prime_limit", None) is not None:
+    if args.prime_limit is not None:
         return sieve_up_to(args.prime_limit)
     return primes_in_window(lo, hi)
-
-
-def _table_provenance(table: PrimeTable) -> dict:
-    return {"prime_lo": int(table.lo), "prime_limit": int(table.limit),
-            "prime_count": len(table)}
 
 
 def _manifest(args, outputs: Sequence[str]) -> dict:
@@ -269,11 +239,19 @@ def _emit(args, kind: str, result: dict, csv_header: Sequence[str],
     print(f"wrote {out}")
 
 
+def _emit_report(args, report: EntropyReport) -> int:
+    """Write a single entropy report and print its ``H``."""
+    rows = [(k + 1, w, report.H) for k, w in enumerate(report.weights)]
+    _emit(args, "entropy_report", report.to_dict(), ("k", "weight", "H"), rows)
+    print(f"H = {report.H:.12g}")
+    return 0
+
+
 def cmd_entropy(args) -> int:
-    _check_finite("p", args.p)
-    _check_finite("R", args.R, positive=True)
+    M = _check_bins(args.M)
+    _check_window(args.p, args.R)
     prov: dict = {"base_point": args.p}
-    if getattr(args, "points_file", None) is not None:
+    if args.points_file is not None:
         pts = np.sort(read_values(args.points_file))
         prov["model"] = "points-file"
         prov["source"] = {"path": args.points_file, "count": int(pts.size)}
@@ -281,17 +259,18 @@ def cmd_entropy(args) -> int:
     else:
         table = _prime_table(args, args.p - args.R, args.p + args.R)
         prov["model"] = "primes"
-        prov["source"] = _table_provenance(table)
+        prov["source"] = {"prime_lo": int(table.lo), "prime_limit": int(table.limit),
+                          "prime_count": len(table)}
         dm = truncated_distances(args.p, table, args.R)
-    report = full_pipeline(dm, args.M, provenance=prov)
-    rows = [(k + 1, w, report.H) for k, w in enumerate(report.weights)]
-    _emit(args, "entropy_report", report.to_dict(), ("k", "weight", "H"), rows)
-    print(f"H = {report.H:.12g}")
-    return 0
+    return _emit_report(args, full_pipeline(dm, M, provenance=prov))
 
 
 def cmd_null(args) -> int:
+    _check_bins(args.M)
     if args.check_stabilization:
+        for flag, value in (("--R", args.R), ("--baseline-out", args.baseline_out)):
+            if value is not None:
+                raise InvalidArgumentError(f"{flag} does not apply with --check-stabilization")
         if args.R_grid is None:
             raise InvalidArgumentError("--check-stabilization requires --R-grid")
         config = PoissonConfig(intensity=args.intensity, radius=max(args.R_grid),
@@ -307,10 +286,11 @@ def cmd_null(args) -> int:
                   f"mean d_min = {report.mean_dmin[i]:.6g}")
         return 0
 
-    if args.R is None:
-        raise InvalidArgumentError("--R is required unless --check-stabilization is given")
-    if args.reps is None:
-        raise InvalidArgumentError("--reps is required unless --check-stabilization is given")
+    if args.R_grid is not None:
+        raise InvalidArgumentError("--R-grid applies only with --check-stabilization")
+    for flag, value in (("--R", args.R), ("--reps", args.reps)):
+        if value is None:
+            raise InvalidArgumentError(f"{flag} is required unless --check-stabilization is given")
     config = PoissonConfig(intensity=args.intensity, radius=args.R, seed=args.seed)
     estimate = estimate_null_entropy(args.M, config, args.reps)
     rows = [(i + 1, h) for i, h in enumerate(estimate.per_replicate_H)]
@@ -327,20 +307,18 @@ def cmd_null(args) -> int:
 
 
 def cmd_cramer(args) -> int:
+    M = _check_bins(args.M)
     base = args.base if args.base is not None else args.N / 2
-    report = cramer_entropy(CramerConfig(N=args.N, seed=args.seed), base, args.R, args.M)
-    rows = [(k + 1, w, report.H) for k, w in enumerate(report.weights)]
-    _emit(args, "entropy_report", report.to_dict(), ("k", "weight", "H"), rows)
-    print(f"H = {report.H:.12g}")
-    return 0
+    return _emit_report(args, cramer_entropy(CramerConfig(N=args.N, seed=args.seed),
+                                             base, args.R, M))
 
 
 def cmd_stability(args) -> int:
-    _check_finite("p", args.p)
-    _check_finite("R-grid", *args.R_grid, positive=True)
+    M = _check_bins(args.M)
+    radii = _check_radii(args.p, args.R_grid)
     reach = max(args.R_grid)
     table = _prime_table(args, args.p - reach, args.p + reach)
-    profile = stability_profile(args.p, args.M, args.R_grid, table)
+    profile = stability_profile(args.p, M, radii, table)
     rows = list(zip(profile.radii, profile.H_values, profile.envelope))
     _emit(args, "stability_profile", profile.to_dict(), ("R", "H", "tail_envelope"), rows)
     for radius, h, env in rows:
@@ -349,15 +327,15 @@ def cmd_stability(args) -> int:
 
 
 def cmd_deviation(args) -> int:
-    _check_finite("p", args.p)
-    _check_finite("R", args.R, positive=True)
+    M = _check_bins(args.M)
+    _check_window(args.p, args.R)
+    _check_replicates(args.reps)
     if args.intensity is not None:
         null_config = PoissonConfig(intensity=args.intensity, radius=args.R, seed=args.seed)
     else:
         null_config = matched_null_config(args.p, args.R, args.seed)
-    _check_replicates(args.reps)
     table = _prime_table(args, args.p - args.R, args.p + args.R)
-    profile = deviation_profile(args.p, args.M, args.R, table, null_config, args.reps)
+    profile = deviation_profile(args.p, M, args.R, table, null_config, args.reps)
     header = ("p", "M", "R", "H", "null_mean", "null_stderr", "delta", "z_score")
     row = (profile.base_point, profile.M, profile.radius, profile.H_prime,
            profile.null_mean, profile.null_stderr, profile.delta, profile.z_score)
@@ -369,11 +347,10 @@ def cmd_deviation(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    _check_finite("R", args.R, positive=True)
-    _, lo, hi, baseline = _check_ensemble_args(args.m, args.samples, args.range, args.M,
-                                               args.hist_bins, args.center)
+    M, lo, hi, baseline = _check_ensemble_args(args.m, args.samples, args.range, args.R,
+                                               args.M, args.hist_bins, args.center)
     table = _prime_table(args, lo - args.R, hi + args.R)
-    dist = ensemble_distribution(args.m, args.samples, (lo, hi), args.R, args.M,
+    dist = ensemble_distribution(args.m, args.samples, (lo, hi), args.R, M,
                                  args.seed, table, center=args.center, baseline=baseline,
                                  hist_bins=args.hist_bins)
     rows = [(i + 1, h) for i, h in enumerate(dist.samples)]
@@ -392,11 +369,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if getattr(args, "M", None) is not None and not 2 <= args.M <= MAX_BINS:
-        parser.error(f"--M must be at least 2 and at most {MAX_BINS}")
-    if getattr(args, "reps", None) is not None and args.reps < 2:
-        parser.error("--reps must be at least 2")
-    if getattr(args, "threads", None) is not None and args.threads < 1:
+    if args.threads is not None and args.threads < 1:
         parser.error("--threads must be at least 1")
     try:
         return args.func(args)

@@ -89,6 +89,14 @@ def aggregate_distances(points: Sequence[float], table: PointSource, R: float) -
     return DistanceMultiset(values=d, radius=float(R), base_points=tuple(points))
 
 
+def _check_window(p: float, R: float) -> None:
+    """InvalidArgumentError unless ``p`` and ``R`` are finite and ``R > 0``."""
+    if not (math.isfinite(p) and math.isfinite(R)):
+        raise InvalidArgumentError(f"p and R must be finite, got p = {p}, R = {R}")
+    if R <= 0:
+        raise InvalidArgumentError(f"R must be positive, got {R}")
+
+
 def pooled_distances(points: Sequence[float], table: PointSource, R: float) -> np.ndarray:
     """The values of :func:`aggregate_distances`, unsorted.
 
@@ -97,10 +105,7 @@ def pooled_distances(points: Sequence[float], table: PointSource, R: float) -> n
     """
     parts = []
     for j, p in enumerate(points):
-        if not (math.isfinite(p) and math.isfinite(R)):
-            raise InvalidArgumentError(f"p and R must be finite, got p = {p}, R = {R}")
-        if R <= 0:
-            raise InvalidArgumentError(f"R must be positive, got {R}")
+        _check_window(p, R)
         if j == 0:  # R is valid: find every point's window at once
             centers = np.asarray(points, dtype=np.float64)
             with np.errstate(over="ignore"):  # p ± R may round to ±inf, as floats do

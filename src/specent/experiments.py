@@ -15,7 +15,7 @@ import numpy as np
 
 from ._json import as_json
 from .binning import MAX_BINS, _check_bins, _integer_thresholds, log_bin_counts
-from .distances import pooled_distances, truncated_distances
+from .distances import _check_window, pooled_distances, truncated_distances
 from .entropy import _entropy_of_rows, full_pipeline
 from .errors import InvalidArgumentError
 from .nullmodel import (
@@ -103,11 +103,7 @@ def stability_profile(
 ) -> StabilityProfile:
     """Entropy of the configuration around ``p`` at every radius in the grid,
     bit-identical to :func:`full_pipeline` of each :func:`truncated_distances`."""
-    radii = np.asarray([float(r) for r in radii], dtype=np.float64)
-    if radii.size < 1:
-        raise InvalidArgumentError("need at least one radius")
-    if np.any(np.diff(radii) < 0):
-        raise InvalidArgumentError("radius grid must be non-decreasing")
+    radii = _check_radii(p, radii)
     M = _check_bins(M)
 
     def counts_at(i: int) -> np.ndarray:
@@ -122,6 +118,20 @@ def stability_profile(
     return StabilityProfile(
         base_point=float(p), M=int(M), radii=radii, H_values=H, envelope=envelope
     )
+
+
+def _check_radii(p: float, radii: Sequence[float]) -> np.ndarray:
+    """``radii`` as a float64 array, or InvalidArgumentError unless it is a
+    non-empty, non-decreasing grid whose every window around ``p`` passes
+    :func:`_check_window`."""
+    radii = np.asarray([float(r) for r in radii], dtype=np.float64)
+    if radii.size < 1:
+        raise InvalidArgumentError("need at least one radius")
+    for r in radii.tolist():
+        _check_window(p, r)
+    if np.any(np.diff(radii) < 0):
+        raise InvalidArgumentError("radius grid must be non-decreasing")
+    return radii
 
 
 def deviation_profile(
@@ -193,7 +203,7 @@ def ensemble_distribution(
     :func:`full_pipeline` entropy of its :func:`aggregate_distances` bit for
     bit, and the first that fails raises what that pipeline raises.
     """
-    M, lo, hi, baseline = _check_ensemble_args(m, sample_count, prime_range, M, hist_bins,
+    M, lo, hi, baseline = _check_ensemble_args(m, sample_count, prime_range, R, M, hist_bins,
                                                center, baseline)
     candidates = table.between(lo, hi)
     if candidates.size < m:
@@ -231,11 +241,12 @@ def ensemble_distribution(
     )
 
 
-def _check_ensemble_args(m, sample_count, prime_range, M, hist_bins, center=False,
+def _check_ensemble_args(m, sample_count, prime_range, R, M, hist_bins, center=False,
                          baseline=None) -> tuple:
     """Checked ``(M, lo, hi, baseline)`` of :func:`ensemble_distribution`'s
-    arguments; with ``center`` the baseline is resolved (the shipped table
-    unless given) and must be at ``M``."""
+    arguments; every base lies in ``[lo, hi]``, so its window passes
+    :func:`_check_window` once both ends' do.  With ``center`` the baseline
+    is resolved (the shipped table unless given) and must be at ``M``."""
     if m < 1:
         raise InvalidArgumentError(f"m must be at least 1, got {m}")
     if not 1 <= sample_count <= MAX_REPLICATES:
@@ -250,6 +261,8 @@ def _check_ensemble_args(m, sample_count, prime_range, M, hist_bins, center=Fals
     lo, hi = float(prime_range[0]), float(prime_range[1])
     if not lo < hi:
         raise InvalidArgumentError(f"invalid prime range [{lo}, {hi}]")
+    for end in (lo, hi):
+        _check_window(end, R)
     if center:
         baseline = load_null_baseline() if baseline is None else baseline
         if baseline.M != M:

@@ -287,21 +287,25 @@ def load_null_baseline(path: str | Path | None = None) -> NullBaseline:
 
     Resolution order: explicit ``path`` argument, the ``SPECENT_NULL_BASELINE``
     environment variable, then the versioned file shipped with the package.
+    A file that cannot be read, is not JSON or lacks a field raises
+    InvalidArgumentError naming it.
     """
     if path is None:
         path = os.environ.get(BASELINE_ENV_VAR)
-    if path is None:
-        payload = json.loads(
-            resources.files("specent.data").joinpath(_BASELINE_RESOURCE).read_text("utf-8")
+    source = (resources.files("specent.data").joinpath(_BASELINE_RESOURCE)
+              if path is None else Path(path))
+    try:
+        payload = json.loads(source.read_text("utf-8"))
+        return NullBaseline(
+            M=int(payload["M"]),
+            mean=float(payload["mean"]),
+            stderr=float(payload["stderr"]),
+            intensity=float(payload["lambda"]),
+            radius=float(payload["R"]),
+            replicates=int(payload["replicates"]),
+            seed=int(payload["seed"]),
         )
-    else:
-        payload = json.loads(Path(path).read_text("utf-8"))
-    return NullBaseline(
-        M=int(payload["M"]),
-        mean=float(payload["mean"]),
-        stderr=float(payload["stderr"]),
-        intensity=float(payload["lambda"]),
-        radius=float(payload["R"]),
-        replicates=int(payload["replicates"]),
-        seed=int(payload["seed"]),
-    )
+    except KeyError as exc:
+        raise InvalidArgumentError(f"null baseline {source} has no {exc} field") from None
+    except (OSError, ValueError, TypeError) as exc:
+        raise InvalidArgumentError(f"cannot read null baseline {source}: {exc}") from None

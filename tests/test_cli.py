@@ -1,7 +1,10 @@
 import csv
 import json
+import re
+import shlex
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -650,3 +653,103 @@ def test_result_keys_are_exactly_the_schema_properties(argv, tmp_path, capsys):
     payload = validate_payload(out)
     schema = load_schema(payload["schema"].rsplit("/", 1)[1])
     assert set(payload["result"]) == set(schema["properties"]) == set(schema["required"])
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-json", "no-mean"])
+@pytest.mark.parametrize("source", [[], ["--n-primes", "3000"], ["--prime-limit", "3e4"]])
+def test_bad_null_baseline_file_exits_2_before_sieving(case, source, monkeypatch, tmp_path,
+                                                       capsys):
+    from specent import cli
+    from specent.nullmodel import BASELINE_ENV_VAR
+
+    path = tmp_path / "baseline.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-json":
+        path.write_text("not json\n")
+    elif case == "no-mean":
+        path.write_text('{"M": 50}\n')
+    monkeypatch.setenv(BASELINE_ENV_VAR, str(path))
+    for name in ("primes_in_window", "sieve_up_to", "first_n_primes"):
+        monkeypatch.setattr(cli, name, _refuse_to_sieve)
+    code, _, err = run(["ensemble", "--m", "2", "--samples", "3", "--range", "1e4:2e4",
+                        "--R", "1e3", "--M", "50", "--seed", "1", "--center", *source,
+                        "--out", str(tmp_path / "r.json")], capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("InvalidArgumentError: ") and str(path) in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--check-stabilization", "--R-grid", "1e2,1e3", "--R", "7"], "--R"),
+    (["--check-stabilization", "--R-grid", "1e2,1e3", "--baseline-out", "b.json"],
+     "--baseline-out"),
+    (["--R", "1e3", "--R-grid", "1e2,1e3"], "--R-grid"),
+])
+def test_null_flag_its_mode_does_not_read_exits_2(argv, flag, monkeypatch, tmp_path, capsys):
+    from specent import cli
+
+    monkeypatch.chdir(tmp_path)
+    for name in ("estimate_null_entropy", "check_bin_stabilization"):
+        monkeypatch.setattr(cli, name, _refuse_to_sieve)
+    code, stdout, err = run(["null", "--reps", "4", "--seed", "1", *argv, "--out", "r.json"],
+                            capsys)
+    assert (code, stdout) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"InvalidArgumentError: {flag} ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", [[], ["--n-primes", "3000"], ["--prime-limit", "3e4"]])
+def test_decreasing_radius_grid_exits_2_before_sieving(source, monkeypatch, tmp_path, capsys):
+    from specent import cli
+
+    for name in ("primes_in_window", "sieve_up_to", "first_n_primes"):
+        monkeypatch.setattr(cli, name, _refuse_to_sieve)
+    code, _, err = run(["stability", "--p", "1e4", "--M", "8", "--R-grid", "1e3,50", *source,
+                        "--out", str(tmp_path / "r.json")], capsys)
+    assert code == 2
+    assert err == "InvalidArgumentError: radius grid must be non-decreasing\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["cramer", "--N", "5", "--R", "1", "--M", "8", "--seed", "3"], 1,
+     "ConfigurationError: simulated set on [3, 5] is empty"),
+    (["null", "--check-stabilization", "--lambda", "1e-3", "--R-grid", "1", "--reps", "2",
+      "--seed", "1"], 1, "ConfigurationError: empty realization at R=1.0"),
+    (["deviation", "--p", "1", "--R", "10", "--M", "8", "--reps", "4", "--seed", "1"], 2,
+     "InvalidArgumentError: base point must exceed 1"),
+])
+def test_library_errors_end_in_one_line(argv, code, message, tmp_path, capsys):
+    got, _, err = run(argv + ["--out", str(tmp_path / "r.json")], capsys)
+    assert got == code
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(message)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_out_naming_a_directory_exits_2(tmp_path, capsys):
+    code, _, err = run(["entropy", "--p", "101", "--R", "50", "--M", "8",
+                        "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"InvalidArgumentError: cannot write {tmp_path}: ")
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("specent ")]
+
+
+def test_readme_commands_parse():
+    # A documented flag that the parser no longer knows fails here.
+    from specent import cli
+
+    commands = _readme_commands()
+    assert len(commands) == 9
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        assert args.subcommand == argv[0]

@@ -97,6 +97,27 @@ def test_nearest_member_tie_prefers_smaller():
     assert nearest_member(cfg, mid) == members[i]
 
 
+def test_nearest_member_widens_an_empty_first_window(monkeypatch):
+    # The first window coming back empty makes the search widen it; the
+    # member found must be the one a search without the miss finds.
+    from specent import cramer
+
+    cfg = CramerConfig(N=10**4, seed=8)
+    want = nearest_member(cfg, 5000.0)
+    calls = []
+
+    def first_call_empty(config, lo, hi):
+        calls.append((lo, hi))
+        if len(calls) == 1:
+            return np.empty(0, dtype=np.int64)
+        return members_in_window(config, lo, hi)
+
+    monkeypatch.setattr(cramer, "members_in_window", first_call_empty)
+    assert nearest_member(cfg, 5000.0) == want
+    assert len(calls) == 2
+    assert calls[1][1] - calls[1][0] > calls[0][1] - calls[0][0]
+
+
 def test_distances_match_truncated_full_set():
     # The window contract through the shared path: simulating only the
     # window gives the distances of the whole simulated set.

@@ -146,8 +146,6 @@ def rescale_invariance_check(distances: DistanceMultiset, c: float, M: int) -> b
     original and scaled multisets exactly.  They differ only where a value
     lands within rounding distance of a bin boundary.
     """
-    if c <= 0:
-        raise InvalidArgumentError(f"scale factor must be positive, got {c}")
-    base = log_bin_counts(distances.values, M)[0]
-    scaled = log_bin_counts(distances.scaled(c).values, M)[0]
-    return bool(np.array_equal(base, scaled))
+    scaled = distances.scaled(c)  # raises InvalidArgumentError for c <= 0
+    return bool(np.array_equal(log_bin_counts(distances.values, M)[0],
+                               log_bin_counts(scaled.values, M)[0]))

@@ -2,12 +2,13 @@
 
 Subcommands map one-to-one onto the library surface:
 
-    entropy    spectral entropy of one truncated distance multiset
-    null       Poisson reference statistics (estimate or stabilization scan)
-    cramer     spectral entropy of a random pseudoprime configuration
-    stability  H as a function of the truncation radius
-    deviation  H minus the matched Poisson null, in standard errors
-    ensemble   H distribution over random base-point samples
+    entropy        spectral entropy of one truncated distance multiset
+    null           Poisson null entropy estimate
+    stabilization  Poisson distance extrema over a radius grid
+    cramer         spectral entropy of a random pseudoprime configuration
+    stability      H as a function of the truncation radius
+    deviation      H minus the matched Poisson null, in standard errors
+    ensemble       H distribution over random base-point samples
 
 Every run writes a result file (JSON by default) carrying a manifest with
 the full parameter set, the seed, the tool version, and a timestamp.  CSV
@@ -109,9 +110,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Flags match by full name only, so no foreign --R is read as --R-grid.
     parser = _Parser(
         prog="specent",
         description="Spectral entropy of log-binned distance distributions.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     shared = argparse.ArgumentParser(add_help=False)
@@ -121,10 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="result file format (default json)")
     shared.add_argument("--out", default=None,
                         help="result path (default <subcommand>_result.<ext>)")
+    poisson = argparse.ArgumentParser(add_help=False)
+    poisson.add_argument("--lambda", dest="intensity", type=float, default=1.0,
+                         help="Poisson intensity (default 1.0)")
+    poisson.add_argument("--seed", type=_int_arg, required=True, help="RNG seed")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    def command(name: str, handler, summary: str):
-        sub = subparsers.add_parser(name, parents=[shared], help=summary)
+    def command(name: str, handler, summary: str, *parents):
+        sub = subparsers.add_parser(name, parents=[shared, *parents], help=summary,
+                                    allow_abbrev=False)
         sub.set_defaults(func=handler)
         return sub
 
@@ -134,19 +142,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--M", type=_int_arg, required=True, help="number of log bins")
     _add_prime_source_args(sub, with_points_file=True)
 
-    sub = command("null", cmd_null, "Poisson null estimate or stabilization scan")
-    sub.add_argument("--lambda", dest="intensity", type=float, default=1.0,
-                     help="Poisson intensity (default 1.0)")
-    sub.add_argument("--R", type=float, default=None, help="truncation radius")
+    sub = command("null", cmd_null, "Poisson null entropy estimate", poisson)
+    sub.add_argument("--R", type=float, required=True, help="truncation radius")
     sub.add_argument("--M", type=_int_arg, default=50, help="number of log bins (default 50)")
-    sub.add_argument("--reps", type=_int_arg, default=None, help="number of replicates")
-    sub.add_argument("--seed", type=_int_arg, required=True, help="RNG seed")
-    sub.add_argument("--check-stabilization", action="store_true",
-                     help="scan raw distance statistics over --R-grid instead of estimating H")
-    sub.add_argument("--R-grid", type=_grid_arg, default=None,
-                     help="comma-separated radii, e.g. 1e3,1e4,1e5")
+    sub.add_argument("--reps", type=_int_arg, required=True, help="number of replicates")
     sub.add_argument("--baseline-out", default=None,
                      help="also write the estimate as a reusable baseline file")
+
+    sub = command("stabilization", cmd_stabilization, "Poisson distance extrema over radii",
+                  poisson)
+    sub.add_argument("--R-grid", type=_grid_arg, required=True,
+                     help="comma-separated radii, e.g. 1e3,1e4,1e5")
+    sub.add_argument("--reps", type=_int_arg, default=20,
+                     help="replicates per radius (default 20)")
 
     sub = command("cramer", cmd_cramer, "entropy of a random pseudoprime set")
     sub.add_argument("--N", type=_int_arg, required=True, help="upper bound of the ground set")
@@ -266,31 +274,6 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_null(args) -> int:
-    _check_bins(args.M)
-    if args.check_stabilization:
-        for flag, value in (("--R", args.R), ("--baseline-out", args.baseline_out)):
-            if value is not None:
-                raise InvalidArgumentError(f"{flag} does not apply with --check-stabilization")
-        if args.R_grid is None:
-            raise InvalidArgumentError("--check-stabilization requires --R-grid")
-        config = PoissonConfig(intensity=args.intensity, radius=max(args.R_grid),
-                               seed=args.seed)
-        reps = args.reps if args.reps is not None else 20
-        report = check_bin_stabilization(config, args.R_grid, reps)
-        header = ("R", "mean_abs_log_dmax_gap", "mean_log_dmin", "mean_dmin", "stderr_dmin")
-        rows = list(zip(report.radii, report.mean_abs_log_dmax_gap,
-                        report.mean_log_dmin, report.mean_dmin, report.stderr_dmin))
-        _emit(args, "stabilization_report", report.to_dict(), header, rows)
-        for i, radius in enumerate(report.radii):
-            print(f"R = {radius:g}: mean |d log d_max| = {report.mean_abs_log_dmax_gap[i]:.6g}, "
-                  f"mean d_min = {report.mean_dmin[i]:.6g}")
-        return 0
-
-    if args.R_grid is not None:
-        raise InvalidArgumentError("--R-grid applies only with --check-stabilization")
-    for flag, value in (("--R", args.R), ("--reps", args.reps)):
-        if value is None:
-            raise InvalidArgumentError(f"{flag} is required unless --check-stabilization is given")
     config = PoissonConfig(intensity=args.intensity, radius=args.R, seed=args.seed)
     estimate = estimate_null_entropy(args.M, config, args.reps)
     rows = [(i + 1, h) for i, h in enumerate(estimate.per_replicate_H)]
@@ -303,6 +286,18 @@ def cmd_null(args) -> int:
         print(f"excluded {estimate.degenerate_count} degenerate replicate(s)")
     print(f"H_null = {estimate.mean_H:.12g} +/- {estimate.std_error:.12g} "
           f"({estimate.replicates} replicates)")
+    return 0
+
+
+def cmd_stabilization(args) -> int:
+    config = PoissonConfig(intensity=args.intensity, radius=max(args.R_grid), seed=args.seed)
+    report = check_bin_stabilization(config, args.R_grid, args.reps)
+    header = ("R", "mean_abs_log_dmax_gap", "mean_log_dmin", "mean_dmin", "stderr_dmin")
+    rows = list(zip(report.radii, report.mean_abs_log_dmax_gap,
+                    report.mean_log_dmin, report.mean_dmin, report.stderr_dmin))
+    _emit(args, "stabilization_report", report.to_dict(), header, rows)
+    for radius, gap, _, d_min, _ in rows:
+        print(f"R = {radius:g}: mean |d log d_max| = {gap:.6g}, mean d_min = {d_min:.6g}")
     return 0
 
 

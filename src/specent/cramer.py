@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import DistanceMultiset, truncated_distances
+from .distances import DistanceMultiset, _check_window, truncated_distances
 from .entropy import EntropyReport, full_pipeline
 from .errors import ConfigurationError, CoverageError, InvalidArgumentError
-from .primes import _MAX_LIMIT
+from .primes import _MAX_LIMIT, _MAX_SPAN
 from .rng import indexed_uniforms, stream_key
 
 _CHUNK = 1 << 21
@@ -40,10 +40,17 @@ class CramerConfig:
 def members_in_window(config: CramerConfig, lo: int, hi: int) -> np.ndarray:
     """Members of the simulated set in ``[lo, hi]`` (inclusive), as int64.
 
-    Bitwise identical to the matching slice of ``simulate_cramer_set``.
+    Bitwise identical to the matching slice of ``simulate_cramer_set``.  The
+    ends must be finite, and the window clamped into ``[3, N]`` spans at most
+    ``2**30`` integers, like a prime table; both are checked before any draw.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN included
+        raise InvalidArgumentError(f"Cramer window ends must be finite, got [{lo}, {hi}]")
     lo = max(3, int(lo))
     hi = min(int(config.N), int(hi))
+    if hi - lo >= _MAX_SPAN:
+        raise InvalidArgumentError(f"Cramer window [{lo}, {hi}] spans {hi - lo + 1:.3g} "
+                                   "integers; a Cramer window spans at most 2**30")
     if hi < lo:
         return np.empty(0, dtype=np.int64)
     key = stream_key(config.seed)
@@ -59,7 +66,7 @@ def members_in_window(config: CramerConfig, lo: int, hi: int) -> np.ndarray:
 
 
 def simulate_cramer_set(config: CramerConfig) -> np.ndarray:
-    """The full simulated set on ``[3, N]``, strictly increasing int64."""
+    """The full simulated set on ``[3, N]``, ``N < 2**30 + 3``, strictly increasing int64."""
     return members_in_window(config, 3, config.N)
 
 
@@ -101,8 +108,7 @@ def cramer_distances(
     Only the members within ``R`` of ``base_point`` are simulated; they give
     the same distances as the full set would.
     """
-    if not (math.isfinite(R) and R > 0):
-        raise InvalidArgumentError(f"R must be positive and finite, got {R}")
+    _check_window(base_point, R)
     if base_point + R > config.N:
         raise CoverageError(
             f"simulation bound N={config.N} does not cover base_point + R = {base_point + R}"

@@ -110,18 +110,21 @@ def test_null_estimate_and_baseline(tmp_path, capsys):
 
 def test_null_stabilization_mode(tmp_path, capsys):
     out = tmp_path / "stab.json"
-    code, _, _ = run(["null", "--seed", "3", "--check-stabilization",
-                      "--R-grid", "1e2,1e3", "--reps", "8", "--out", str(out)], capsys)
+    code, _, _ = run(["stabilization", "--seed", "3", "--R-grid", "1e2,1e3", "--reps", "8",
+                      "--out", str(out)], capsys)
     assert code == 0
     payload = validate_payload(out)
     assert payload["schema"] == "specent/v1/stabilization_report"
+    assert payload["manifest"]["subcommand"] == "stabilization"
+    assert payload["manifest"]["parameters"] == {"intensity": 1.0, "R_grid": [100.0, 1000.0],
+                                                 "reps": 8, "seed": 3}
     assert payload["result"]["radii"] == [100.0, 1000.0]
 
 
 def test_stabilization_requires_grid(capsys):
-    code, _, err = run(["null", "--seed", "3", "--check-stabilization"], capsys)
+    code, _, err = run(["stabilization", "--seed", "3"], capsys)
     assert code == 2
-    assert "R-grid" in err
+    assert err == "specent stabilization: error: the following arguments are required: --R-grid\n"
 
 
 def test_cramer_json(tmp_path, capsys):
@@ -297,8 +300,8 @@ def test_malformed_points_file_exits_2(tmp_path, capsys):
     ["null", "--lambda", "nan", "--R", "1e3", "--reps", "4", "--seed", "1"],
     ["null", "--lambda", "inf", "--R", "1e3", "--reps", "4", "--seed", "1"],
     ["null", "--R", "nan", "--reps", "4", "--seed", "1"],
-    ["null", "--check-stabilization", "--R-grid", "nan,10", "--seed", "1"],
-    ["null", "--check-stabilization", "--R-grid", "10,nan", "--seed", "1"],
+    ["stabilization", "--R-grid", "nan,10", "--seed", "1"],
+    ["stabilization", "--R-grid", "10,nan", "--seed", "1"],
     ["deviation", "--p", "101", "--R", "1e3", "--M", "50", "--reps", "4", "--seed", "1",
      "--lambda", "nan"],
     ["cramer", "--N", "1e7", "--R", "nan", "--M", "50", "--seed", "1"],
@@ -330,8 +333,7 @@ def test_negative_seed_exits_2(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["null", "--lambda", "1e10", "--R", "1e10", "--reps", "4", "--seed", "1"],
-    ["null", "--lambda", "1e10", "--check-stabilization", "--R-grid", "1e2,1e10",
-     "--seed", "1"],
+    ["stabilization", "--lambda", "1e10", "--R-grid", "1e2,1e10", "--seed", "1"],
     ["deviation", "--p", "101", "--R", "1e3", "--M", "50", "--reps", "4", "--seed", "1",
      "--lambda", "1e16"],
 ])
@@ -357,6 +359,23 @@ def test_coordinates_above_2_53_exit_2(argv, tmp_path, capsys):
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err and "2**53" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cramer_window_above_span_budget_exits_2(monkeypatch, tmp_path, capsys):
+    # Without the budget this window of 4e11 integers is drawn 2**21
+    # uniforms at a time, about 1.4e10 members in all.
+    from specent import cramer
+
+    base = cramer.nearest_member(cramer.CramerConfig(N=10**12, seed=1), 5e11)
+    monkeypatch.setattr(cramer, "nearest_member", lambda config, coord: base)
+    monkeypatch.setattr(cramer, "indexed_uniforms", _refuse_to_sieve)
+    code, stdout, err = run(["cramer", "--N", "1e12", "--R", "2e11", "--M", "50", "--seed", "1",
+                             "--out", str(tmp_path / "r.json")], capsys)
+    assert (code, stdout) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("InvalidArgumentError: Cramer window [")
+    assert "a Cramer window spans at most 2**30" in err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -462,10 +481,9 @@ def test_window_commands_match_full_tables(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["null", "--R", "1e3", "--reps", "10000001", "--seed", "1"],
-    ["null", "--check-stabilization", "--R-grid", "1e2", "--reps", "10000001", "--seed", "1"],
+    ["stabilization", "--R-grid", "1e2", "--reps", "10000001", "--seed", "1"],
     # Two radii at 5e6 + 1 replicates each: the cap counts radii x reps.
-    ["null", "--check-stabilization", "--R-grid", "1e2,1e3", "--reps", "5000001",
-     "--seed", "1"],
+    ["stabilization", "--R-grid", "1e2,1e3", "--reps", "5000001", "--seed", "1"],
     ["deviation", "--p", "101", "--R", "1e3", "--M", "50", "--reps", "10000001", "--seed", "1"],
     ["ensemble", "--m", "2", "--samples", "10000001", "--range", "1e4:2e4", "--R", "1e3",
      "--M", "50", "--seed", "1"],
@@ -640,7 +658,7 @@ def test_prime_table_above_budget_exits_2(argv, monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["entropy", "--p", "101", "--R", "500", "--M", "8"],
     ["null", "--R", "1e3", "--M", "8", "--reps", "4", "--seed", "1"],
-    ["null", "--check-stabilization", "--R-grid", "1e2,1e3", "--reps", "4", "--seed", "1"],
+    ["stabilization", "--R-grid", "1e2,1e3", "--reps", "4", "--seed", "1"],
     ["cramer", "--N", "1e5", "--R", "1e3", "--M", "8", "--seed", "1"],
     ["stability", "--p", "101", "--M", "8", "--R-grid", "1e2,1e3"],
     ["deviation", "--p", "101", "--R", "1e3", "--M", "8", "--reps", "4", "--seed", "1"],
@@ -681,24 +699,47 @@ def test_bad_null_baseline_file_exits_2_before_sieving(case, source, monkeypatch
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["--check-stabilization", "--R-grid", "1e2,1e3", "--R", "7"], "--R"),
-    (["--check-stabilization", "--R-grid", "1e2,1e3", "--baseline-out", "b.json"],
-     "--baseline-out"),
-    (["--R", "1e3", "--R-grid", "1e2,1e3"], "--R-grid"),
+_STABILIZATION = ["stabilization", "--R-grid", "1e2,1e3", "--reps", "4", "--seed", "1"]
+_NULL = ["null", "--R", "1e3", "--reps", "4", "--seed", "1"]
+_STABILITY = ["stability", "--p", "101", "--M", "8", "--R-grid", "1e2,1e3"]
+
+
+@pytest.mark.parametrize("argv, foreign", [
+    (_STABILIZATION, ["--R", "7"]),
+    (_STABILIZATION, ["--M", "8"]),
+    (_STABILIZATION, ["--baseline-out", "b.json"]),
+    (_STABILIZATION, ["--lam", "2"]),  # an abbreviation of --lambda
+    (_NULL, ["--R-grid", "1e2,1e3"]),
+    (_NULL, ["--check-stabilization"]),
+    (_STABILITY, ["--R", "1e3"]),  # an abbreviation of --R-grid
 ])
-def test_null_flag_its_mode_does_not_read_exits_2(argv, flag, monkeypatch, tmp_path, capsys):
+def test_flag_the_subcommand_does_not_read_exits_2(argv, foreign, monkeypatch, tmp_path,
+                                                   capsys):
+    # Flags match by full name only, so a foreign flag is never read as
+    # another one; nothing is drawn, sieved or written.
     from specent import cli
 
     monkeypatch.chdir(tmp_path)
-    for name in ("estimate_null_entropy", "check_bin_stabilization"):
+    for name in ("estimate_null_entropy", "check_bin_stabilization", "primes_in_window",
+                 "sieve_up_to", "first_n_primes"):
         monkeypatch.setattr(cli, name, _refuse_to_sieve)
-    code, stdout, err = run(["null", "--reps", "4", "--seed", "1", *argv, "--out", "r.json"],
-                            capsys)
+    code, stdout, err = run(argv + foreign, capsys)
     assert (code, stdout) == (2, "")
-    assert len(err.strip().splitlines()) == 1
-    assert err.startswith(f"InvalidArgumentError: {flag} ")
+    assert err == f"specent: error: unrecognized arguments: {' '.join(foreign)}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_schema_lists_every_subcommand():
+    # A subcommand missing from the enum would write manifests that fail
+    # their own schema.
+    import argparse
+
+    from specent import cli
+
+    (subparsers,) = (action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction))
+    enum = load_schema("run_manifest")["properties"]["subcommand"]["enum"]
+    assert sorted(enum) == sorted(subparsers.choices)
 
 
 @pytest.mark.parametrize("source", [[], ["--n-primes", "3000"], ["--prime-limit", "3e4"]])
@@ -716,8 +757,8 @@ def test_decreasing_radius_grid_exits_2_before_sieving(source, monkeypatch, tmp_
 @pytest.mark.parametrize("argv, code, message", [
     (["cramer", "--N", "5", "--R", "1", "--M", "8", "--seed", "3"], 1,
      "ConfigurationError: simulated set on [3, 5] is empty"),
-    (["null", "--check-stabilization", "--lambda", "1e-3", "--R-grid", "1", "--reps", "2",
-      "--seed", "1"], 1, "ConfigurationError: empty realization at R=1.0"),
+    (["stabilization", "--lambda", "1e-3", "--R-grid", "1", "--reps", "2", "--seed", "1"], 1,
+     "ConfigurationError: empty realization at R=1.0"),
     (["deviation", "--p", "1", "--R", "10", "--M", "8", "--reps", "4", "--seed", "1"], 2,
      "InvalidArgumentError: base point must exceed 1"),
 ])

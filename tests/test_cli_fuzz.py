@@ -32,12 +32,13 @@ VALUES = {
     "--threads": ["1", "3", "0", "-2", "x"],
     "--format": ["json", "csv", "xml"],
 }
-SWITCHES = ["--check-stabilization", "--center"]
+SWITCHES = ["--center"]
 # A valid value for every required flag, so that most examples get past the
 # parser and into the commands.
 REQUIRED = {
     "entropy": {"--p": "101", "--R": "30", "--M": "8"},
     "null": {"--R": "30", "--reps": "3", "--seed": "1"},
+    "stabilization": {"--R-grid": "30,1e2", "--seed": "1"},
     "cramer": {"--N": "1e4", "--R": "30", "--M": "8", "--seed": "1"},
     "stability": {"--p": "101", "--M": "8", "--R-grid": "30,1e2"},
     "deviation": {"--p": "101", "--R": "30", "--M": "8", "--reps": "3", "--seed": "1"},
@@ -49,7 +50,8 @@ REQUIRED = {
 COMMON = ["--threads", "--format", "--p"]  # --p is foreign to three commands
 OPTIONAL = {
     "entropy": ["--n-primes", "--prime-limit"],
-    "null": ["--lambda", "--M", "--check-stabilization", "--R-grid"],
+    "null": ["--lambda", "--M"],
+    "stabilization": ["--lambda", "--reps"],
     "cramer": ["--base"],
     "stability": ["--n-primes", "--prime-limit"],
     "deviation": ["--lambda", "--n-primes", "--prime-limit"],

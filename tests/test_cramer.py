@@ -71,6 +71,30 @@ def test_window_clamps_to_domain():
     assert np.array_equal(members_in_window(cfg, -50, 2000), full)
 
 
+@pytest.mark.parametrize("lo, hi", [(math.nan, 10), (3, math.inf)])
+def test_window_ends_must_be_finite(lo, hi):
+    with pytest.raises(InvalidArgumentError, match="ends must be finite"):
+        members_in_window(CramerConfig(N=10**4, seed=1), lo, hi)
+
+
+def test_window_above_span_budget_draws_nothing(monkeypatch):
+    # The window is clamped into [3, N] first, so only its part inside the
+    # range counts against the 2**30 budget of a prime table.
+    from specent import cramer
+
+    def refuse(*args):
+        raise AssertionError("uniforms were drawn")
+
+    monkeypatch.setattr(cramer, "indexed_uniforms", refuse)
+    cfg = CramerConfig(N=2**31, seed=1)
+    with pytest.raises(InvalidArgumentError, match=r"spans at most 2\*\*30"):
+        members_in_window(cfg, -10.0, 2**30 + 3)
+    with pytest.raises(InvalidArgumentError, match=r"spans at most 2\*\*30"):
+        simulate_cramer_set(cfg)
+    with pytest.raises(AssertionError, match="drawn"):  # one integer short of the budget
+        members_in_window(cfg, -10.0, 2**30 + 2)
+
+
 def test_nearest_member_matches_bruteforce():
     cfg = CramerConfig(N=10**4, seed=8)
     members = simulate_cramer_set(cfg)

@@ -33,13 +33,12 @@ from . import __version__
 from ._json import open_output, plain, write_json
 from .binning import _check_bins
 from .cramer import CramerConfig, cramer_entropy
-from .distances import _check_window, read_values, truncated_distances
+from .distances import _check_radii, _check_window, read_values, truncated_distances
 from .entropy import EntropyReport, full_pipeline
 from .errors import InvalidArgumentError, SpecentError
 from .experiments import (
     QUANTILE_LEVELS,
     _check_ensemble_args,
-    _check_radii,
     deviation_profile,
     ensemble_distribution,
     matched_null_config,
@@ -311,8 +310,7 @@ def cmd_cramer(args) -> int:
 def cmd_stability(args) -> int:
     M = _check_bins(args.M)
     radii = _check_radii(args.p, args.R_grid)
-    reach = max(args.R_grid)
-    table = _prime_table(args, args.p - reach, args.p + reach)
+    table = _prime_table(args, args.p - radii[-1], args.p + radii[-1])
     profile = stability_profile(args.p, M, radii, table)
     rows = list(zip(profile.radii, profile.H_values, profile.envelope))
     _emit(args, "stability_profile", profile.to_dict(), ("R", "H", "tail_envelope"), rows)

@@ -97,6 +97,20 @@ def _check_window(p: float, R: float) -> None:
         raise InvalidArgumentError(f"R must be positive, got {R}")
 
 
+def _check_radii(p: float, radii: Sequence[float]) -> np.ndarray:
+    """``radii`` as a float64 array, or InvalidArgumentError unless it is a
+    non-empty, non-decreasing grid whose every window around ``p`` passes
+    :func:`_check_window`."""
+    radii = np.asarray([float(r) for r in radii], dtype=np.float64)
+    if radii.size < 1:
+        raise InvalidArgumentError("need at least one radius")
+    for r in radii.tolist():
+        _check_window(p, r)
+    if np.any(np.diff(radii) < 0):
+        raise InvalidArgumentError("radius grid must be non-decreasing")
+    return radii
+
+
 def pooled_distances(points: Sequence[float], table: PointSource, R: float) -> np.ndarray:
     """The values of :func:`aggregate_distances`, unsorted.
 

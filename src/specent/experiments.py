@@ -15,7 +15,7 @@ import numpy as np
 
 from ._json import as_json
 from .binning import MAX_BINS, _check_bins, _integer_thresholds, log_bin_counts
-from .distances import _check_window, pooled_distances, truncated_distances
+from .distances import _check_radii, _check_window, pooled_distances, truncated_distances
 from .entropy import _entropy_of_rows, full_pipeline
 from .errors import InvalidArgumentError
 from .nullmodel import (
@@ -26,7 +26,7 @@ from .nullmodel import (
     estimate_null_entropy,
     load_null_baseline,
 )
-from .primes import PrimeTable
+from .primes import _MAX_SPAN, PrimeTable
 from .rng import generator
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.95)
@@ -118,20 +118,6 @@ def stability_profile(
     return StabilityProfile(
         base_point=float(p), M=int(M), radii=radii, H_values=H, envelope=envelope
     )
-
-
-def _check_radii(p: float, radii: Sequence[float]) -> np.ndarray:
-    """``radii`` as a float64 array, or InvalidArgumentError unless it is a
-    non-empty, non-decreasing grid whose every window around ``p`` passes
-    :func:`_check_window`."""
-    radii = np.asarray([float(r) for r in radii], dtype=np.float64)
-    if radii.size < 1:
-        raise InvalidArgumentError("need at least one radius")
-    for r in radii.tolist():
-        _check_window(p, r)
-    if np.any(np.diff(radii) < 0):
-        raise InvalidArgumentError("radius grid must be non-decreasing")
-    return radii
 
 
 def deviation_profile(
@@ -245,8 +231,10 @@ def _check_ensemble_args(m, sample_count, prime_range, R, M, hist_bins, center=F
                          baseline=None) -> tuple:
     """Checked ``(M, lo, hi, baseline)`` of :func:`ensemble_distribution`'s
     arguments; every base lies in ``[lo, hi]``, so its window passes
-    :func:`_check_window` once both ends' do.  With ``center`` the baseline
-    is resolved (the shipped table unless given) and must be at ``M``."""
+    :func:`_check_window` once both ends' do.  A sample's ``m`` windows may
+    span at most the ``2**30`` integers a prime table may.  With ``center``
+    the baseline is resolved (the shipped table unless given) and must be at
+    ``M``."""
     if m < 1:
         raise InvalidArgumentError(f"m must be at least 1, got {m}")
     if not 1 <= sample_count <= MAX_REPLICATES:
@@ -263,6 +251,11 @@ def _check_ensemble_args(m, sample_count, prime_range, R, M, hist_bins, center=F
         raise InvalidArgumentError(f"invalid prime range [{lo}, {hi}]")
     for end in (lo, hi):
         _check_window(end, R)
+    if m * (2 * R + 1) > _MAX_SPAN:
+        raise InvalidArgumentError(
+            f"ensemble windows span m (2R + 1) = {m * (2 * R + 1):.3g} integers per "
+            "sample; a sample pools at most 2**30"
+        )
     if center:
         baseline = load_null_baseline() if baseline is None else baseline
         if baseline.M != M:
@@ -277,10 +270,11 @@ def _prefix_counts(bases: np.ndarray, table: PrimeTable, R: float, M: int):
 
     A row's extrema are its bases' nearest-neighbour gaps and reaches; its
     distances below each :func:`_integer_thresholds` value are the primes
-    that close to each base, one ``searchsorted`` for all.  No row holds if
-    the windows hold on average at most the ``2 (M - 1)`` lookups a base
-    costs; nor does one with an uncovered window, no distances, equal-log
-    extrema or a failed threshold search.
+    that close to each base, one ``searchsorted`` for all, which lands in
+    the base's window since a held row's thresholds are at most its
+    ``d_max <= R``.  No row holds if the windows hold on average at most the
+    ``2 (M - 1)`` lookups a base costs; nor does one with an uncovered
+    window, no distances, equal-log extrema or a failed threshold search.
     """
     n, m = bases.shape
     counts = np.zeros((n, M), dtype=np.int64)
@@ -301,8 +295,7 @@ def _prefix_counts(bases: np.ndarray, table: PrimeTable, R: float, M: int):
     rows = np.flatnonzero(held)
     thresholds, held[rows] = _integer_thresholds(d_min[rows], log_min[rows], log_max[rows], M)
     P, T = bases[rows][:, :, None], thresholds[:, None, :]
-    below = (np.minimum(primes.searchsorted(P + T, side="left"), stop[rows][:, :, None])
-             - np.maximum(primes.searchsorted(P - T, side="right"), start[rows][:, :, None]))
+    below = primes.searchsorted(P + T, side="left") - primes.searchsorted(P - T, side="right")
     total = (stop - start)[rows].sum(axis=1) - m
     counts[rows] = np.diff(below.sum(axis=1) - m, prepend=0, append=total[:, None])
     return counts, held

@@ -27,6 +27,7 @@ import numpy as np
 
 from ._json import as_json, write_json
 from .binning import _check_bins
+from .distances import _check_radii
 from .entropy import EntropyReport, _count_entropy, _entropy_of_rows
 from .errors import (
     ConfigurationError,
@@ -208,7 +209,7 @@ def check_bin_stabilization(
     radii: Sequence[float],
     replicates: int,
 ) -> StabilizationReport:
-    """Sample extrema behavior across an increasing radius grid.
+    """Sample extrema behavior across a non-decreasing radius grid.
 
     Per radius, reports the sample mean of ``|log d_max - log R|`` (expected
     to shrink as R grows) and the location of ``d_min`` (expected to stay
@@ -216,20 +217,18 @@ def check_bin_stabilization(
     flattened sub-stream index ``i * replicates + j``, keeping every cell
     independent and reproducible.
     """
-    radii = np.asarray(sorted(float(r) for r in radii), dtype=np.float64)
-    if radii.size < 1:
-        raise InvalidArgumentError("need at least one radius")
     _check_replicates(replicates)
-    if radii.size * replicates > MAX_REPLICATES:
+    if len(radii) * replicates > MAX_REPLICATES:
         raise InvalidArgumentError(
             f"radii x replicates must be at most {MAX_REPLICATES}, "
-            f"got {radii.size} x {replicates}"
+            f"got {len(radii)} x {replicates}"
         )
+    configs = [replace(config, radius=float(r)) for r in radii]  # each radius checked once
+    radii = _check_radii(0.0, radii)  # the process is conditioned on a point at 0
 
     def extrema(k: int) -> tuple[float, float]:
-        cfg = replace(config, radius=float(radii[k // replicates]))
         try:
-            _, _, log_max, log_ratio = _extrema(cfg, k)
+            _, _, log_max, log_ratio = _extrema(configs[k // replicates], k)
         except EmptyDistancesError as exc:
             raise ConfigurationError(f"{exc}; intensity*radius too small") from None
         return log_max - log_ratio, log_max

@@ -591,6 +591,9 @@ def _refuse_to_sieve(*args):
     (["--m", "0"], "m must be at least 1, got 0"),
     (["--samples", "2e7"], "sample_count must be at least 1 and at most 10000000, got 20000000"),
     (["--range", "2e4:1.9e4"], "invalid prime range [20000.0, 19000.0]"),
+    (["--m", "50000", "--range", "1e4:1e7", "--R", "3e4", "--M", "65536"],
+     "ensemble windows span m (2R + 1) = 3e+09 integers per sample; "
+     "a sample pools at most 2**30"),
 ])
 @pytest.mark.parametrize("source", [[], ["--n-primes", "3000"], ["--prime-limit", "3e4"]])
 def test_bad_ensemble_flags_exit_2_before_sieving(argv, message, source, monkeypatch,
@@ -752,6 +755,36 @@ def test_decreasing_radius_grid_exits_2_before_sieving(source, monkeypatch, tmp_
                         "--out", str(tmp_path / "r.json")], capsys)
     assert code == 2
     assert err == "InvalidArgumentError: radius grid must be non-decreasing\n"
+
+
+_GRID_COMMANDS = {
+    "stability": ["stability", "--p", "1e4", "--M", "8"],
+    "stabilization": ["stabilization", "--reps", "4", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("grid, messages", [
+    ("1e3,50", ("radius grid must be non-decreasing", "radius grid must be non-decreasing")),
+    ("10,nan", ("p and R must be finite, got p = 10000.0, R = nan",
+                "radius must be positive and finite, got nan")),
+    ("-1,10", ("R must be positive, got -1.0", "radius must be positive and finite, got -1.0")),
+])
+@pytest.mark.parametrize("command", sorted(_GRID_COMMANDS))
+def test_both_grid_commands_reject_a_bad_grid_before_any_work(command, grid, messages,
+                                                              monkeypatch, tmp_path, capsys):
+    # One grid rule: nothing is sieved or drawn and no file is written.
+    from specent import cli, nullmodel
+
+    monkeypatch.setattr(nullmodel, "_extrema", _refuse_to_sieve)
+    for name in ("primes_in_window", "sieve_up_to", "first_n_primes"):
+        monkeypatch.setattr(cli, name, _refuse_to_sieve)
+    out = tmp_path / "r.json"
+    code, stdout, err = run(_GRID_COMMANDS[command] + [f"--R-grid={grid}", "--out", str(out)],
+                            capsys)
+    message = messages[command == "stabilization"]
+    assert (code, stdout) == (2, "")
+    assert err == f"InvalidArgumentError: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, code, message", [

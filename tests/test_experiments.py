@@ -195,8 +195,16 @@ def test_batched_samples_equal_per_sample_pipeline(table, wide_table, m, M):
         assert [h.hex() for h in dist.samples.tolist()] == [h.hex() for h in expected]
 
 
-@pytest.mark.parametrize("M, prefix", [(50, True), (1000, False)])
-def test_path_rule_sides_give_the_binned_counts(table, M, prefix):
+@pytest.mark.parametrize("M, prefix, prime_range, R", [
+    pytest.param(50, True, (10**4, 10**5), 1e4, id="50-True"),
+    pytest.param(1000, False, (10**4, 10**5), 1e4, id="1000-False"),
+    # Edges of the unclamped table lookups: windows cut off at 0, a
+    # half-integer R and the largest M at which the prefix side holds.
+    pytest.param(8, True, (2, 200), 1e3, id="window-clamped-at-0"),
+    pytest.param(8, True, (10**4, 10**5), 150.5, id="R-150.5"),
+    pytest.param(1000, True, (10**4, 10**5), 2e4, id="M-1000"),
+])
+def test_path_rule_sides_give_the_binned_counts(table, M, prefix, prime_range, R):
     # At R = 1e4 a window holds about 1,900 primes: more than the 2 (M - 1)
     # lookups per base at M = 50, fewer than at M = 1000.  Both paths give
     # the counts of the binned distances.
@@ -205,16 +213,16 @@ def test_path_rule_sides_give_the_binned_counts(table, M, prefix):
     from specent.experiments import _prefix_counts
     from specent.rng import generator
 
-    candidates = table.between(10**4, 10**5)
+    candidates = table.between(*prime_range)
     bases = np.stack([generator(3, i).choice(candidates, size=8, replace=False)
                       for i in range(10)])
-    counts, held = _prefix_counts(bases, table, 1e4, M)
+    counts, held = _prefix_counts(bases, table, R, M)
     assert held.tolist() == [prefix] * 10
     if prefix:
         for row, chosen in zip(counts, bases):
-            assert row.tolist() == log_bin_counts(pooled_distances(chosen, table, 1e4), M)[0].tolist()
-    dist = ensemble_distribution(8, 10, (10**4, 10**5), 1e4, M, 3, table)
-    expected = _replayed_samples(8, 10, (10**4, 10**5), 1e4, M, 3, table)
+            assert row.tolist() == log_bin_counts(pooled_distances(chosen, table, R), M)[0].tolist()
+    dist = ensemble_distribution(8, 10, prime_range, R, M, 3, table)
+    expected = _replayed_samples(8, 10, prime_range, R, M, 3, table)
     assert [h.hex() for h in dist.samples.tolist()] == [h.hex() for h in expected]
 
 

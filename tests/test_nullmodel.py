@@ -167,6 +167,16 @@ def test_stabilization_trends():
         assert abs(report.mean_dmin[i] - 1.0) <= 4 * report.stderr_dmin[i]
 
 
+def test_stabilization_rejects_an_unsorted_grid():
+    # The grid rule of stability_profile: a decreasing grid is an error,
+    # never sorted into another one.
+    cfg = PoissonConfig(intensity=1.0, radius=1e4, seed=6)
+    with pytest.raises(InvalidArgumentError, match="radius grid must be non-decreasing"):
+        check_bin_stabilization(cfg, (1e2, 1e4, 1e3), 4)
+    # A repeated radius is a non-decreasing grid.
+    assert check_bin_stabilization(cfg, (1e2, 1e2), 4).radii.tolist() == [1e2, 1e2]
+
+
 def test_baseline_round_trip(tmp_path):
     est = estimate_null_entropy(50, PoissonConfig(intensity=1.0, radius=1e3, seed=12), 10)
     baseline = baseline_from_estimate(est)

@@ -27,7 +27,7 @@ from .nullmodel import (
     load_null_baseline,
 )
 from .primes import _MAX_SPAN, PrimeTable
-from .rng import generator
+from .rng import _substreams
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.95)
 
@@ -198,8 +198,10 @@ def ensemble_distribution(
         )
     baseline_mean = float(baseline.mean) if center else None
 
+    at = _substreams(seed)
+
     def draw(i: int) -> np.ndarray:
-        return generator(seed, i).choice(candidates, size=m, replace=False)
+        return at(i).choice(candidates, size=m, replace=False)
 
     def block_counts(draws: list) -> np.ndarray:
         counts, held = _prefix_counts(np.stack(draws), table, R, M)

@@ -9,6 +9,8 @@ so with ``s = log(d_max / d_min)`` their counts are multinomial with bin
 ``j`` weighted by ``exp(s j / M)``.  So ``lambda`` and ``R`` matter only
 through ``lambda R``.  Replicate ``i`` of base seed ``s`` draws from the
 Philox sub-stream ``spawn_key=(i,)`` of ``s`` (see :mod:`specent.rng`).
+The replicate loops reach those sub-streams by re-keying one shared
+generator per index, which must not be held across items.
 A single replicate's counts and the count rows of an estimate go through
 the same count kernel of :mod:`specent.entropy`.
 """
@@ -36,7 +38,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .parallel import ordered_map
-from .rng import generator
+from .rng import _substreams, generator
 
 BASELINE_ENV_VAR = "SPECENT_NULL_BASELINE"
 _BASELINE_RESOURCE = "null_baseline_M50.json"
@@ -108,14 +110,16 @@ class StabilizationReport:
         return as_json(self, rename={"intensity": "lambda"})
 
 
-def _extrema(config: PoissonConfig, replicate: int):
+def _extrema(config: PoissonConfig, replicate: int, rng=None):
     """Draw replicate ``replicate``'s point count and extrema.
 
-    Returns the replicate's generator (positioned after the draws), the
-    count ``n``, ``log d_max`` and ``log(d_max / d_min)``; a single point
-    gives a zero log ratio.
+    ``rng`` is the replicate's sub-stream generator at its start, built
+    from ``config.seed`` when not given.  Returns that generator
+    (positioned after the draws), the count ``n``, ``log d_max`` and
+    ``log(d_max / d_min)``; a single point gives a zero log ratio.
     """
-    rng = generator(config.seed, replicate)
+    if rng is None:
+        rng = generator(config.seed, replicate)
     n = int(rng.poisson(config.intensity * config.radius))
     if n == 0:
         raise EmptyDistancesError(f"empty realization at R={config.radius}")
@@ -139,10 +143,11 @@ def null_entropy_once(config: PoissonConfig, M: int, replicate: int = 0) -> Entr
     return EntropyReport(H=float(H), weights=w, M=int(w.size), provenance=provenance)
 
 
-def _replicate_counts(config: PoissonConfig, M: int, replicate: int):
-    """Replicate ``replicate``'s ``(counts, n)`` over ``M`` bins; raises
-    EmptyDistancesError or DegenerateRangeError for a degenerate one."""
-    rng, n, _, log_ratio = _extrema(config, replicate)
+def _replicate_counts(config: PoissonConfig, M: int, replicate: int, rng=None):
+    """Replicate ``replicate``'s ``(counts, n)`` over ``M`` bins, drawn from
+    ``rng`` as in :func:`_extrema`; raises EmptyDistancesError or
+    DegenerateRangeError for a degenerate one."""
+    rng, n, _, log_ratio = _extrema(config, replicate, rng)
     if log_ratio == 0.0:
         raise DegenerateRangeError(f"{n} point(s) with equal log distances")
     weights = np.exp(log_ratio * (np.arange(1, M + 1) - M) / M)
@@ -175,10 +180,11 @@ def estimate_null_entropy(
     """
     _check_replicates(replicates)
     M = _check_bins(M)
+    at = _substreams(config.seed)
 
     def row(i: int) -> np.ndarray | None:
         try:
-            return _replicate_counts(config, M, i)[0]
+            return _replicate_counts(config, M, i, at(i))[0]
         except (EmptyDistancesError, DegenerateRangeError):
             return None
 
@@ -225,10 +231,11 @@ def check_bin_stabilization(
         )
     configs = [replace(config, radius=float(r)) for r in radii]  # each radius checked once
     radii = _check_radii(0.0, radii)  # the process is conditioned on a point at 0
+    at = _substreams(config.seed)
 
     def extrema(k: int) -> tuple[float, float]:
         try:
-            _, _, log_max, log_ratio = _extrema(configs[k // replicates], k)
+            _, _, log_max, log_ratio = _extrema(configs[k // replicates], k, at(k))
         except EmptyDistancesError as exc:
             raise ConfigurationError(f"{exc}; intensity*radius too small") from None
         return log_max - log_ratio, log_max

@@ -66,13 +66,20 @@ class PrimeTable:
 
 
 def _flat_sieve(limit: int) -> np.ndarray:
-    """All primes ``<= limit`` by one boolean sieve; the window sieve's base primes."""
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime).astype(np.int64)
+    """All primes ``<= limit`` by one boolean sieve of the odd numbers; the
+    window sieve's base primes.
+
+    Index ``i`` stands for ``2 i + 1``; odd multiples of ``p`` from ``p*p``
+    on sit ``p`` indices apart.
+    """
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    is_prime = np.ones((limit + 1) // 2, dtype=bool)
+    is_prime[0] = False  # 1
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if is_prime[p // 2]:
+            is_prime[p * p // 2 :: p] = False
+    return np.concatenate(([2], 2 * np.flatnonzero(is_prime) + 1)).astype(np.int64)
 
 
 def _mark_composites(mask: np.ndarray, low: int, base: np.ndarray) -> None:

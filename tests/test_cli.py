@@ -362,6 +362,36 @@ def test_coordinates_above_2_53_exit_2(argv, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("seed", [2**53 + 1, 2**70])
+def test_seed_in_digits_is_recorded_exactly(seed, tmp_path, capsys):
+    # Read through float, 2**53 + 1 would run as, and be recorded as, 2**53.
+    out = tmp_path / "r.json"
+    code, _, _ = run(["null", "--R", "1e3", "--M", "8", "--reps", "4", "--seed", str(seed),
+                      "--out", str(out)], capsys)
+    assert code == 0
+    payload = validate_payload(out)
+    assert payload["manifest"]["seed"] == payload["result"]["seed"] == seed
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["null", "--R", "1e3", "--M", "8", "--reps", "4", "--seed", "1e30"],
+     "specent null: error: argument --seed: '1e30' exceeds 2**53; write it in digits"),
+    (["null", "--R", "1e3", "--M", "8", "--reps", "4", "--seed", "3.0000000000000001"],
+     "specent null: error: argument --seed: not an integer: '3.0000000000000001'"),
+    # Read through float, this N rounds to 2**53 and passes the cap.
+    (["cramer", "--N", str(2**53 + 1), "--R", "10", "--M", "8", "--seed", "1"],
+     "InvalidArgumentError: N must be in [3, 2**53], got 9.0072e+15"),
+])
+def test_integer_flag_that_would_round_exits_2(argv, message, monkeypatch, tmp_path, capsys):
+    from specent import cramer, nullmodel
+
+    monkeypatch.setattr(cramer, "indexed_uniforms", _refuse_to_sieve)
+    monkeypatch.setattr(nullmodel, "_substreams", _refuse_to_sieve)
+    code, stdout, err = run(argv + ["--out", str(tmp_path / "r.json")], capsys)
+    assert (code, stdout, err) == (2, "", message + "\n")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cramer_window_above_span_budget_exits_2(monkeypatch, tmp_path, capsys):
     # Without the budget this window of 4e11 integers is drawn 2**21
     # uniforms at a time, about 1.4e10 members in all.

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,6 +166,21 @@ def test_stabilization_trends():
     for i, radius in enumerate(report.radii):
         assert report.mean_log_dmin[i] <= math.log(radius)  # d_min <= d_max <= R
         assert abs(report.mean_dmin[i] - 1.0) <= 4 * report.stderr_dmin[i]
+
+
+def test_stabilization_cells_equal_single_extrema_draws():
+    # Cell j of radius i is replicate i * reps + j of its own generator.
+    cfg, radii, reps = PoissonConfig(intensity=1.0, radius=1e4, seed=6), (1e2, 1e3, 1e4), 30
+    report = check_bin_stabilization(cfg, radii, reps)
+    logs = np.array([[_extrema(replace(cfg, radius=r), i * reps + j)[2:] for j in range(reps)]
+                     for i, r in enumerate(radii)])
+    log_dmax, log_dmin = logs[..., 0], logs[..., 0] - logs[..., 1]
+    d_min = np.exp(log_dmin)
+    assert np.array_equal(report.mean_abs_log_dmax_gap,
+                          np.abs(log_dmax - np.log(radii)[:, None]).mean(axis=1))
+    assert np.array_equal(report.mean_log_dmin, log_dmin.mean(axis=1))
+    assert np.array_equal(report.mean_dmin, d_min.mean(axis=1))
+    assert np.array_equal(report.stderr_dmin, d_min.std(axis=1, ddof=1) / math.sqrt(reps))
 
 
 def test_stabilization_rejects_an_unsorted_grid():

@@ -41,6 +41,14 @@ def test_segmented_agrees_with_flat_across_boundary():
     assert np.array_equal(sieve_up_to(limit).primes, oracle_sieve(limit))
 
 
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 9, 10, 11, 25, 100, 7072, 10**5, 10**7])
+def test_odd_only_base_sieve_matches_plain_sieve(limit):
+    # Index i of the base sieve stands for 2 i + 1; 2 is prepended.
+    got = primes._flat_sieve(limit)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, oracle_sieve(limit))
+
+
 def test_first_n_primes_exact_prefix():
     table = first_n_primes(1000)
     assert len(table) == 1000

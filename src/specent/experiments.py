@@ -130,9 +130,12 @@ def deviation_profile(
 ) -> DeviationProfile:
     """Entropy gap between the configuration around ``p`` and a Poisson null.
 
-    The null should run at the same ``R`` and ``M`` with intensity matched
-    to the local density ``1 / log p`` so point counts are comparable;
-    :func:`matched_null_config` builds exactly that.
+    :func:`matched_null_config` builds a null at the same ``R`` with the
+    local prime density ``1 / log p`` as its intensity.  Its sizes do not
+    match: the null draws distances on one side, ``(0, R]``, so it holds
+    about ``R / log p`` of them, while the two-sided prime window
+    ``[p - R, p + R]`` holds about ``2 R / log p``.  The null mean moves with
+    that size (ROADMAP item 3).
     """
     H_prime = full_pipeline(truncated_distances(p, table, R), M).H
     estimate: NullEstimate = estimate_null_entropy(M, null_config, replicates)
@@ -154,7 +157,12 @@ def deviation_profile(
 
 
 def matched_null_config(p: float, R: float, seed: int) -> PoissonConfig:
-    """Poisson config with intensity ``1 / log p`` (local density at ``p``)."""
+    """Poisson config with intensity ``1 / log p`` (local density at ``p``).
+
+    Its one-sided window ``(0, R]`` holds about ``R / log p`` points, half the
+    ``2 R / log p`` distances of the two-sided prime window around ``p``, so
+    the two counts are not matched (ROADMAP item 3).
+    """
     if p <= 1:
         raise InvalidArgumentError(f"base point must exceed 1, got {p}")
     return PoissonConfig(intensity=1.0 / math.log(p), radius=float(R), seed=seed)

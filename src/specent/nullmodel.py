@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -42,6 +43,11 @@ from .rng import _substreams, generator
 
 BASELINE_ENV_VAR = "SPECENT_NULL_BASELINE"
 _BASELINE_RESOURCE = "null_baseline_M50.json"
+# The rules of schemas/v1/null_baseline.schema.json on the fields a baseline
+# file is read for: each integer field with its least value (None: any), and
+# the number fields, which must be finite and positive.
+_BASELINE_INTEGERS = {"M": 2, "replicates": 2, "seed": None}
+_BASELINE_NUMBERS = ("mean", "stderr", "lambda", "R")
 
 # Fraction of degenerate replicates tolerated before an estimate aborts.
 _DEGENERATE_TOLERANCE = 0.01
@@ -293,8 +299,8 @@ def load_null_baseline(path: str | Path | None = None) -> NullBaseline:
 
     Resolution order: explicit ``path`` argument, the ``SPECENT_NULL_BASELINE``
     environment variable, then the versioned file shipped with the package.
-    A file that cannot be read, is not JSON or lacks a field raises
-    InvalidArgumentError naming it.
+    A file that cannot be read, is not JSON, lacks a field or breaks the
+    schema's rule for one raises InvalidArgumentError naming it.
     """
     if path is None:
         path = os.environ.get(BASELINE_ENV_VAR)
@@ -302,16 +308,33 @@ def load_null_baseline(path: str | Path | None = None) -> NullBaseline:
               if path is None else Path(path))
     try:
         payload = json.loads(source.read_text("utf-8"))
-        return NullBaseline(
-            M=int(payload["M"]),
-            mean=float(payload["mean"]),
-            stderr=float(payload["stderr"]),
-            intensity=float(payload["lambda"]),
-            radius=float(payload["R"]),
-            replicates=int(payload["replicates"]),
-            seed=int(payload["seed"]),
-        )
+        fields = {key: payload[key] for key in (*_BASELINE_INTEGERS, *_BASELINE_NUMBERS)}
     except KeyError as exc:
         raise InvalidArgumentError(f"null baseline {source} has no {exc} field") from None
     except (OSError, ValueError, TypeError) as exc:
         raise InvalidArgumentError(f"cannot read null baseline {source}: {exc}") from None
+    fields = {key: _schema_value(source, key, value) for key, value in fields.items()}
+    return NullBaseline(M=fields["M"], mean=fields["mean"], stderr=fields["stderr"],
+                        intensity=fields["lambda"], radius=fields["R"],
+                        replicates=fields["replicates"], seed=fields["seed"])
+
+
+def _schema_value(source, key: str, value):
+    """A baseline file's field ``key`` as an int or float, if the schema allows it.
+
+    JSON reads ``1e400`` as inf and ``true`` as a bool, and an integral
+    float such as ``50.0`` is a schema integer; a bool is never a number.
+    """
+    if key in _BASELINE_INTEGERS:
+        least = _BASELINE_INTEGERS[key]
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if type(value) is int and (least is None or value >= least):
+            return value
+        rule = "an integer" if least is None else f"an integer of at least {least}"
+    else:
+        # An int past float's range compares exactly and fails the cap.
+        if type(value) in (int, float) and 0 < value <= sys.float_info.max:
+            return float(value)
+        rule = "a finite positive number"
+    raise InvalidArgumentError(f"null baseline {source} field {key} must be {rule}, got {value!r}")

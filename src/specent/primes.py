@@ -9,11 +9,15 @@ import numpy as np
 
 from .errors import CoverageError, InvalidArgumentError
 
-# Windows are sieved in segments of this span, which bounds memory to a few
-# MB regardless of the window length.
+# Windows are sieved in segments of this many odd numbers, which bounds memory
+# to a few MB regardless of the window length.
 _SEGMENT_SPAN = 1 << 22
+# Up to this square root the base is every odd number, not the odd primes.
+# That is exact, since each odd composite has an odd factor no larger than its
+# square root, and cheaper than sieving the base first.
+_ODD_BASE_ROOT = 100
 _MAX_LIMIT = 2**53  # largest coordinate whose integer distances float64 holds exactly
-# Most integers one table spans.  Sieving [0, 2**28] took 1.9 s and 317 MB
+# Most integers one table spans.  Sieving [0, 2**28] took 1.1-1.2 s and 263 MB
 # peak RSS (2-vCPU Linux VM); [0, 2**30] would take about four times that.
 _MAX_SPAN = 2**30
 
@@ -65,54 +69,38 @@ class PrimeTable:
         return self.primes[start:stop]
 
 
-def _flat_sieve(limit: int) -> np.ndarray:
-    """All primes ``<= limit`` by one boolean sieve of the odd numbers; the
-    window sieve's base primes.
+def _odd_primes(lo: int, hi: int) -> np.ndarray:
+    """The odd primes in ``[max(lo, 3), hi]`` by a segmented sieve of the odd
+    numbers, ``_SEGMENT_SPAN`` of them at a time.
 
-    Index ``i`` stands for ``2 i + 1``; odd multiples of ``p`` from ``p*p``
-    on sit ``p`` indices apart.
+    Index ``i`` of a segment stands for ``low + 2 i``, so the odd multiples of
+    an odd ``p`` recur every ``p`` indices.  Each base member clears its odd
+    multiples from its square on, so base primes inside the window stay set.
+    A member no smaller than the segment has at most one multiple in it;
+    those are cleared in one vectorized step.
     """
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    is_prime = np.ones((limit + 1) // 2, dtype=bool)
-    is_prime[0] = False  # 1
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if is_prime[p // 2]:
-            is_prime[p * p // 2 :: p] = False
-    return np.concatenate(([2], 2 * np.flatnonzero(is_prime) + 1)).astype(np.int64)
-
-
-def _mark_composites(mask: np.ndarray, low: int, base: np.ndarray) -> None:
-    """Clear ``mask[i]`` for every composite ``low + i`` with a factor in ``base``.
-
-    ``base`` holds every prime up to the square root of the segment's top.
-    A base prime clears its multiples from its square on, so base primes
-    inside the segment stay set.  A base prime no smaller than the segment
-    has at most one multiple in it; those are cleared in one vectorized step.
-    """
-    span = mask.size
-    first = np.maximum((-low) % base, base * base - low)  # offset of the first multiple
-    hit = first < span
-    single = hit & (base >= span)
-    mask[first[single]] = False
-    stepped = hit & ~single
-    for p, start in zip(base[stepped].tolist(), first[stepped].tolist()):
-        mask[start::p] = False
-
-
-def _sieve_segments(low: int, high: int, base: np.ndarray) -> list:
-    """Primes in ``[low, high]`` as a list of int64 chunks, one per segment."""
-    chunks = []
-    while low <= high:
-        end = min(low + _SEGMENT_SPAN, high + 1)  # exclusive
-        mask = np.ones(end - low, dtype=bool)
-        mask[: max(0, 2 - low)] = False
-        _mark_composites(mask, low, base)
-        hits = np.flatnonzero(mask)
-        if hits.size:
-            chunks.append((low + hits).astype(np.int64))
-        low = end
-    return chunks
+    root = math.isqrt(hi)
+    if root <= _ODD_BASE_ROOT:
+        base = np.arange(3, root + 1, 2, dtype=np.int64)
+    else:
+        base = _odd_primes(3, root)
+    chunks = [np.empty(0, dtype=np.int64)]
+    low = max(lo, 3) | 1
+    while low <= hi:
+        span = min(_SEGMENT_SPAN, (hi - low) // 2 + 1)
+        mask = np.ones(span, dtype=bool)
+        above = -(-low // base) * base  # least multiple >= low
+        above += base * (above % 2 == 0)  # least odd one
+        first = (np.maximum(above, base * base) - low) // 2  # its index
+        hit = first < span
+        single = hit & (base >= span)
+        mask[first[single]] = False
+        stepped = hit & ~single
+        for p, start in zip(base[stepped].tolist(), first[stepped].tolist()):
+            mask[start::p] = False
+        chunks.append(low + 2 * np.flatnonzero(mask))
+        low += 2 * span
+    return np.concatenate(chunks)
 
 
 def sieve_up_to(limit: int) -> PrimeTable:
@@ -157,9 +145,9 @@ def primes_in_window(lo: float, hi: float) -> PrimeTable:
             f"prime window [{lo}, {hi}] spans {hi - lo + 1:.3g} integers; "
             "a prime table spans at most 2**30"
         )
-    base = _flat_sieve(math.isqrt(hi))
-    chunks = _sieve_segments(lo, hi, base)
-    primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    primes = _odd_primes(lo, hi)
+    if lo <= 2 <= hi:
+        primes = np.concatenate(([2], primes))
     return PrimeTable(limit=hi, primes=primes, lo=lo)
 
 

@@ -678,8 +678,7 @@ def test_prime_table_above_budget_exits_2(argv, monkeypatch, tmp_path, capsys):
     # Without the budget these would start sieves of 1e13 integers or more.
     from specent import primes
 
-    monkeypatch.setattr(primes, "_sieve_segments", _refuse_to_sieve)
-    monkeypatch.setattr(primes, "_flat_sieve", _refuse_to_sieve)
+    monkeypatch.setattr(primes, "_odd_primes", _refuse_to_sieve)
     code, _, err = run(argv + ["--out", str(tmp_path / "r.json")], capsys)
     assert code == 2
     assert len(err.strip().splitlines()) == 1
@@ -706,7 +705,29 @@ def test_result_keys_are_exactly_the_schema_properties(argv, tmp_path, capsys):
     assert set(payload["result"]) == set(schema["properties"]) == set(schema["required"])
 
 
-@pytest.mark.parametrize("case", ["missing", "directory", "not-json", "no-mean"])
+def _baseline_text(**raw):
+    """The shipped baseline file with each named field's value replaced by raw JSON text."""
+    path = resources.files("specent") / "data" / "null_baseline_M50.json"
+    fields = {key: json.dumps(value) for key, value in json.loads(path.read_text()).items()}
+    fields.update(raw)
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}\n"
+
+
+# The text of each bad baseline file; None for the two cases that write none.
+_BAD_BASELINES = {
+    "missing": None,
+    "directory": None,
+    "not-json": "not json\n",
+    "no-mean": '{"M": 50}\n',
+    "nan-mean": _baseline_text(mean="NaN"),
+    "huge-M": _baseline_text(M="1e400"),
+    "huge-seed": _baseline_text(seed="1e400"),
+    "fractional-M": _baseline_text(M="50.5"),
+    "bool-M": _baseline_text(M="true"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_BASELINES)
 @pytest.mark.parametrize("source", [[], ["--n-primes", "3000"], ["--prime-limit", "3e4"]])
 def test_bad_null_baseline_file_exits_2_before_sieving(case, source, monkeypatch, tmp_path,
                                                        capsys):
@@ -716,10 +737,8 @@ def test_bad_null_baseline_file_exits_2_before_sieving(case, source, monkeypatch
     path = tmp_path / "baseline.json"
     if case == "directory":
         path.mkdir()
-    elif case == "not-json":
-        path.write_text("not json\n")
-    elif case == "no-mean":
-        path.write_text('{"M": 50}\n')
+    elif _BAD_BASELINES[case] is not None:
+        path.write_text(_BAD_BASELINES[case])
     monkeypatch.setenv(BASELINE_ENV_VAR, str(path))
     for name in ("primes_in_window", "sieve_up_to", "first_n_primes"):
         monkeypatch.setattr(cli, name, _refuse_to_sieve)

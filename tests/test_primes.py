@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -35,16 +36,16 @@ def test_sieve_limit_below_two_rejected():
         sieve_up_to(-7)
 
 
-def test_segmented_agrees_with_flat_across_boundary():
-    # Limit just past one segment span: the sieve runs over two segments.
-    limit = _SEGMENT_SPAN + 1000
-    assert np.array_equal(sieve_up_to(limit).primes, oracle_sieve(limit))
+@pytest.mark.parametrize("lo", [0, 1, 6, 7])
+def test_windows_past_one_odd_segment_match_oracle(lo):
+    # A segment holds _SEGMENT_SPAN odd numbers, so these windows take two.
+    hi = lo + 2 * _SEGMENT_SPAN + 1000
+    assert np.array_equal(primes_in_window(lo, hi).primes, _window_slice(lo, hi))
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 5, 9, 10, 11, 25, 100, 7072, 10**5, 10**7])
-def test_odd_only_base_sieve_matches_plain_sieve(limit):
-    # Index i of the base sieve stands for 2 i + 1; 2 is prepended.
-    got = primes._flat_sieve(limit)
+def test_whole_windows_match_plain_sieve(limit):
+    got = primes_in_window(0, limit).primes
     assert got.dtype == np.int64
     assert np.array_equal(got, oracle_sieve(limit))
 
@@ -105,15 +106,25 @@ def test_covers_low_end():
     assert sieve_up_to(100).between(-math.inf, 10).tolist() == [2, 3, 5, 7]
 
 
+# One oracle sieve, past every window end in this file, sliced per window.
+_ORACLE_LIMIT = 4 * _SEGMENT_SPAN + 4000
+
+
+@functools.cache
+def _oracle_table() -> np.ndarray:
+    return oracle_sieve(_ORACLE_LIMIT)
+
+
 def _window_slice(lo, hi):
-    primes = oracle_sieve(hi)
-    return primes[primes >= lo]
+    primes = _oracle_table()
+    assert hi <= _ORACLE_LIMIT
+    return primes[np.searchsorted(primes, lo):np.searchsorted(primes, hi, side="right")]
 
 
 @st.composite
 def windows(draw):
     hi = draw(st.one_of(st.integers(2, 5000), st.integers(2, 200_000),
-                        st.integers(_SEGMENT_SPAN - 50, _SEGMENT_SPAN + 3000)))
+                        st.integers(2 * _SEGMENT_SPAN - 50, 2 * _SEGMENT_SPAN + 3000)))
     lo = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, math.isqrt(hi)),
                         st.just(hi), st.integers(0, hi)))
     return lo, hi
@@ -132,9 +143,13 @@ def test_window_matches_sieve_slice(window):
     (0, 2), (1, 2), (2, 2), (0, 97), (1, 97), (2, 97),
     (5, 10_000),              # lo below isqrt(hi): base primes lie in the window
     (97, 97), (100, 100),     # single integers, prime and composite
-    (0, _SEGMENT_SPAN + 10),  # two segments
-    (_SEGMENT_SPAN - 500, _SEGMENT_SPAN + 500),
-    (7, 2 * _SEGMENT_SPAN + 3),
+    (0, 10_000), (0, 10_200),  # isqrt(hi) = 100: the base is every odd number
+    (0, 10_201), (10_000, 10_403),  # isqrt(hi) = 101: the base is sieved first
+    (0, 2 * _SEGMENT_SPAN + 10),  # _SEGMENT_SPAN + 4 odd numbers: two segments
+    (_SEGMENT_SPAN - 500, 3 * _SEGMENT_SPAN + 500),
+    (_SEGMENT_SPAN - 499, 3 * _SEGMENT_SPAN + 500),
+    (7, 4 * _SEGMENT_SPAN + 9),  # 2 * _SEGMENT_SPAN + 2 odd numbers: three segments
+    (8, 4 * _SEGMENT_SPAN + 9),
 ])
 def test_window_edge_cases(lo, hi):
     assert np.array_equal(primes_in_window(lo, hi).primes, _window_slice(lo, hi))
@@ -175,22 +190,28 @@ def test_non_finite_ends_and_spans_above_budget_rejected_before_sieving(call, ar
     def refuse(*_):
         raise AssertionError("sieved")
 
-    monkeypatch.setattr(primes, "_sieve_segments", refuse)
-    monkeypatch.setattr(primes, "_flat_sieve", refuse)
+    monkeypatch.setattr(primes, "_odd_primes", refuse)
     with pytest.raises(InvalidArgumentError):
         call(*args)
 
 
 def test_largest_span_within_budget_is_sieved(monkeypatch):
-    # A stand-in for the segment sieve: only the span check is under test.
-    def three_values(lo, hi, base):
-        return [np.arange(lo, lo + 3)]
+    # A stand-in for the odd sieve: only the span check is under test.
+    def three_values(lo, hi):
+        return np.arange(lo, lo + 3)
 
-    monkeypatch.setattr(primes, "_sieve_segments", three_values)
+    monkeypatch.setattr(primes, "_odd_primes", three_values)
     assert primes_in_window(10, 9 + 2**30).limit == 9 + 2**30
-    assert len(sieve_up_to(2**30 - 1)) == 3
+    assert len(sieve_up_to(2**30 - 1)) == 1 + 3  # 2, then the stand-in's three
 
 
 def test_window_near_1e12_matches_miller_rabin():
     lo, hi = 10**12 - 1000, 10**12 + 1000
+    assert primes_in_window(lo, hi).primes.tolist() == oracle_primes_in_window(lo, hi)
+
+
+def test_window_below_2_53_matches_miller_rabin():
+    # isqrt(2**53) lies above 100 and so does its own root: the base of the
+    # base is sieved too, the deepest the sieve recurses.
+    lo, hi = 2**53 - 2000, 2**53
     assert primes_in_window(lo, hi).primes.tolist() == oracle_primes_in_window(lo, hi)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, SpecentError
 
 
 def plain(value):
@@ -52,7 +52,11 @@ def open_output(path, newline: str | None = None):
 
 
 def write_json(path, payload: dict) -> None:
-    """``payload`` to ``path`` as JSON, sorted and indented by 2, plus a newline."""
+    """``payload`` to ``path`` as JSON, sorted and indented by 2, plus a newline;
+    a non-finite number, which JSON cannot hold, raises ``SpecentError`` first."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SpecentError(f"cannot write {path}: {exc}") from None
     with open_output(path) as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)

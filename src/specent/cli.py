@@ -343,9 +343,9 @@ def cmd_deviation(args) -> int:
     row = (profile.base_point, profile.M, profile.radius, profile.H_prime,
            profile.null_mean, profile.null_stderr, profile.delta, profile.z_score)
     _emit(args, "deviation_profile", profile.to_dict(), header, [row])
+    z = "undefined" if profile.z_score is None else f"{profile.z_score:.6g}"
     print(f"delta = {profile.delta:.12g} (H = {profile.H_prime:.12g}, "
-          f"null = {profile.null_mean:.12g} +/- {profile.null_stderr:.12g}, "
-          f"z = {profile.z_score:.6g})")
+          f"null = {profile.null_mean:.12g} +/- {profile.null_stderr:.12g}, z = {z})")
     return 0
 
 

@@ -52,7 +52,8 @@ class StabilityProfile:
 
 @dataclass(frozen=True)
 class DeviationProfile:
-    """Finite-R snapshot of the entropy gap to a matched Poisson null."""
+    """Finite-R snapshot of the entropy gap to a matched Poisson null;
+    ``z_score`` is None when the null's standard error is 0."""
 
     base_point: float
     M: int
@@ -61,7 +62,7 @@ class DeviationProfile:
     null_mean: float
     null_stderr: float
     delta: float
-    z_score: float
+    z_score: float | None
     null_intensity: float
     null_seed: int
     null_replicates: int
@@ -140,7 +141,8 @@ def deviation_profile(
     H_prime = full_pipeline(truncated_distances(p, table, R), M).H
     estimate: NullEstimate = estimate_null_entropy(M, null_config, replicates)
     delta = H_prime - estimate.mean_H
-    z = delta / estimate.std_error if estimate.std_error > 0 else math.inf
+    # At M = 2 every H is log 2, so the standard error is 0 and z undefined.
+    z = float(delta / estimate.std_error) if estimate.std_error > 0 else None
     return DeviationProfile(
         base_point=float(p),
         M=int(M),
@@ -149,7 +151,7 @@ def deviation_profile(
         null_mean=float(estimate.mean_H),
         null_stderr=float(estimate.std_error),
         delta=float(delta),
-        z_score=float(z),
+        z_score=z,
         null_intensity=float(null_config.intensity),
         null_seed=int(null_config.seed),
         null_replicates=int(estimate.replicates),

@@ -1,24 +1,29 @@
 """Homogeneous Poisson null model for log-distance entropy.
 
-With the process conditioned on a point at 0, the distances are
-``n ~ Poisson(lambda R)`` i.i.d. uniform points on ``(0, R]``.  The entropy
-reads only their ``M`` log-bin counts, which are drawn exactly in O(M):
-``d_max = R U^(1/n)``; ``d_min = d_max (1 - V^(1/(n-1)))``, the least of
-the other points; and the ``n - 2`` points left are uniform between them,
-so with ``s = log(d_max / d_min)`` their counts are multinomial with bin
-``j`` weighted by ``exp(s j / M)``.  So ``lambda`` and ``R`` matter only
-through ``lambda R``.  Replicate ``i`` of base seed ``s`` draws from the
-Philox sub-stream ``spawn_key=(i,)`` of ``s`` (see :mod:`specent.rng`).
-The replicate loops reach those sub-streams by re-keying one shared
-generator per index, which must not be held across items.
-A single replicate's counts and the count rows of an estimate go through
-the same count kernel of :mod:`specent.entropy`.
+Conditioned on a point at 0, the distances are a rate-``lambda`` Poisson
+process on ``(0, R]``: in units of ``1/lambda``, a unit-rate one on
+``(0, L]`` with ``L = lambda R``.  Splitting it (restriction and
+independence of a Poisson process; Kingman, *Poisson Processes*, 1993) puts
+the nearest point at ``E1`` and the farthest at ``L - E2``, for independent
+standard exponentials ``E1`` and ``E2``.  ``E1 > L`` leaves no point and
+``E1 >= L - E2`` one; otherwise log bin ``j`` of the ``M`` between the two
+holds ``Poisson(width_j)`` more points, independently, plus the nearest in
+the first bin and the farthest in the last.  So ``lambda`` and ``R`` matter
+only through ``L``.
+
+Replicate ``i`` is row ``i mod B`` of block ``i // B``, ``B = max(1,
+_STREAM_BLOCK // M)``: ``generator(seed, i // B)`` draws the block's
+``(B, 2)`` exponentials, then its counts row by row, so a block's first rows
+do not depend on how many are asked for.  Stabilization cells are the rows
+of blocks of ``_STREAM_BLOCK // 2`` extrema.  Single replicates and the
+count rows of an estimate share the count kernel of :mod:`specent.entropy`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -31,23 +36,24 @@ import numpy as np
 from ._json import as_json, write_json
 from .binning import _check_bins
 from .distances import _check_radii
-from .entropy import EntropyReport, _count_entropy, _entropy_of_rows
+from .entropy import EntropyReport, _count_entropy, entropy_from_counts
 from .errors import (
     ConfigurationError,
     DegenerateRangeError,
     EmptyDistancesError,
     InvalidArgumentError,
 )
-from .parallel import ordered_map
-from .rng import _substreams, generator
+from .rng import generator
 
 BASELINE_ENV_VAR = "SPECENT_NULL_BASELINE"
 _BASELINE_RESOURCE = "null_baseline_M50.json"
-# The rules of schemas/v1/null_baseline.schema.json on the fields a baseline
-# file is read for: each integer field with its least value (None: any), and
-# the number fields, which must be finite and positive.
-_BASELINE_INTEGERS = {"M": 2, "replicates": 2, "seed": None}
-_BASELINE_NUMBERS = ("mean", "stderr", "lambda", "R")
+_BASELINE_SCHEMA = "schemas/v1/null_baseline.schema.json"
+# The comparison keywords of that schema, each with the test it puts a value to.
+_SCHEMA_TESTS = {"const": operator.eq, "minimum": operator.ge, "exclusiveMinimum": operator.gt}
+
+# Values in one block of a null stream: rows x M counts, or rows x 2 extrema
+# for the stabilization scan.  Changing it changes every null stream.
+_STREAM_BLOCK = 2**15
 
 # Fraction of degenerate replicates tolerated before an estimate aborts.
 _DEGENERATE_TOLERANCE = 0.01
@@ -116,51 +122,43 @@ class StabilizationReport:
         return as_json(self, rename={"intensity": "lambda"})
 
 
-def _extrema(config: PoissonConfig, replicate: int, rng=None):
-    """Draw replicate ``replicate``'s point count and extrema.
-
-    ``rng`` is the replicate's sub-stream generator at its start, built
-    from ``config.seed`` when not given.  Returns that generator
-    (positioned after the draws), the count ``n``, ``log d_max`` and
-    ``log(d_max / d_min)``; a single point gives a zero log ratio.
-    """
-    if rng is None:
-        rng = generator(config.seed, replicate)
-    n = int(rng.poisson(config.intensity * config.radius))
-    if n == 0:
-        raise EmptyDistancesError(f"empty realization at R={config.radius}")
-    log_max = math.log(config.radius) + math.log1p(-rng.random()) / n
-    if n == 1:
-        return rng, n, log_max, 0.0
-    # log(1 - V^(1/(n-1))) through expm1, which stays exact when n is huge;
-    # V = 0 puts d_min at d_max.
-    v = rng.random()
-    t = math.log(v) / (n - 1) if v > 0 else -math.inf
-    return rng, n, log_max, -math.log(-math.expm1(t))
+def _null_block(config: PoissonConfig, M: int, block: int, stop: int):
+    """Rows ``< stop`` of null block ``block``: the counts of those with two
+    points or more, which rows those are, and which have none.  Every step
+    after the block's exponentials is row by row, so ``stop`` changes no
+    row it keeps."""
+    L = config.intensity * config.radius
+    rng = generator(config.seed, block)
+    e1, e2 = rng.standard_exponential((max(1, _STREAM_BLOCK // M), 2))[:stop].T
+    far = L - e2
+    kept = e1 < far
+    # A nearest point drawn at exactly 0 (about 2**-53 a row) is read as the
+    # least normal double, which keeps every log and width finite.
+    lo = np.log(np.maximum(e1[kept], sys.float_info.min))
+    step = (np.log(far[kept]) - lo) / M
+    widths = np.exp(lo[:, None] + step[:, None] * np.arange(M)) * np.expm1(step)[:, None]
+    counts = rng.poisson(widths)
+    counts[:, 0] += 1
+    counts[:, -1] += 1
+    return counts, kept, e1 > L
 
 
 def null_entropy_once(config: PoissonConfig, M: int, replicate: int = 0) -> EntropyReport:
-    """Entropy of one replicate, from its bin counts drawn exactly."""
-    counts, n = _replicate_counts(config, _check_bins(M), replicate)
-    w, H = _count_entropy(counts)
-    provenance = {"radius": float(config.radius), "count": n, "model": "poisson",
-                  "lambda": float(config.intensity), "R": float(config.radius),
-                  "seed": int(config.seed), "replicate": int(replicate)}
+    """Entropy of one replicate, from its bin counts drawn exactly; raises
+    EmptyDistancesError or DegenerateRangeError for a degenerate one."""
+    M = _check_bins(M)
+    block, row = divmod(replicate, max(1, _STREAM_BLOCK // M))
+    counts, kept, empty = _null_block(config, M, block, row + 1)
+    if empty[row]:
+        raise EmptyDistancesError(f"empty realization at R={config.radius}")
+    if not kept[row]:
+        raise DegenerateRangeError("1 point(s) with equal log distances")
+    w, H = _count_entropy(counts[-1])
+    provenance = {"radius": float(config.radius), "count": int(counts[-1].sum()),
+                  "model": "poisson", "lambda": float(config.intensity),
+                  "R": float(config.radius), "seed": int(config.seed),
+                  "replicate": int(replicate)}
     return EntropyReport(H=float(H), weights=w, M=int(w.size), provenance=provenance)
-
-
-def _replicate_counts(config: PoissonConfig, M: int, replicate: int, rng=None):
-    """Replicate ``replicate``'s ``(counts, n)`` over ``M`` bins, drawn from
-    ``rng`` as in :func:`_extrema`; raises EmptyDistancesError or
-    DegenerateRangeError for a degenerate one."""
-    rng, n, _, log_ratio = _extrema(config, replicate, rng)
-    if log_ratio == 0.0:
-        raise DegenerateRangeError(f"{n} point(s) with equal log distances")
-    weights = np.exp(log_ratio * (np.arange(1, M + 1) - M) / M)
-    counts = rng.multinomial(n - 2, weights / weights.sum())
-    counts[0] += 1
-    counts[-1] += 1
-    return counts, n
 
 
 def _check_replicates(replicates: int) -> None:
@@ -186,15 +184,12 @@ def estimate_null_entropy(
     """
     _check_replicates(replicates)
     M = _check_bins(M)
-    at = _substreams(config.seed)
-
-    def row(i: int) -> np.ndarray | None:
-        try:
-            return _replicate_counts(config, M, i, at(i))[0]
-        except (EmptyDistancesError, DegenerateRangeError):
-            return None
-
-    values = _entropy_of_rows(row, replicates, M)
+    rows = max(1, _STREAM_BLOCK // M)
+    parts = []
+    for block, start in enumerate(range(0, replicates, rows)):
+        counts = _null_block(config, M, block, min(rows, replicates - start))[0]
+        parts.append(entropy_from_counts(counts) if counts.size else np.empty(0))
+    values = np.concatenate(parts)
     degenerate = replicates - values.size
     if degenerate > _DEGENERATE_TOLERANCE * replicates or values.size < 2:
         raise ConfigurationError(
@@ -225,9 +220,9 @@ def check_bin_stabilization(
 
     Per radius, reports the sample mean of ``|log d_max - log R|`` (expected
     to shrink as R grows) and the location of ``d_min`` (expected to stay
-    put near ``1/intensity``).  Replicate ``j`` at grid index ``i`` uses the
-    flattened sub-stream index ``i * replicates + j``, keeping every cell
-    independent and reproducible.
+    put near ``1/intensity``).  Replicate ``j`` at grid index ``i`` is cell
+    ``i * replicates + j`` of the stabilization blocks, keeping every cell
+    independent and reproducible.  An empty cell raises ConfigurationError.
     """
     _check_replicates(replicates)
     if len(radii) * replicates > MAX_REPLICATES:
@@ -235,21 +230,22 @@ def check_bin_stabilization(
             f"radii x replicates must be at most {MAX_REPLICATES}, "
             f"got {len(radii)} x {replicates}"
         )
-    configs = [replace(config, radius=float(r)) for r in radii]  # each radius checked once
+    for r in radii:  # each radius checked as a config
+        replace(config, radius=float(r))
     radii = _check_radii(0.0, radii)  # the process is conditioned on a point at 0
-    at = _substreams(config.seed)
-
-    def extrema(k: int) -> tuple[float, float]:
-        try:
-            _, _, log_max, log_ratio = _extrema(configs[k // replicates], k, at(k))
-        except EmptyDistancesError as exc:
-            raise ConfigurationError(f"{exc}; intensity*radius too small") from None
-        return log_max - log_ratio, log_max
-
-    cells = range(radii.size * replicates)
-    logs = np.asarray(ordered_map(extrema, cells)).reshape(radii.size, replicates, 2)
-    log_dmin, log_dmax = logs[..., 0], logs[..., 1]
-    d_min = np.exp(log_dmin)
+    cells, rows = radii.size * replicates, _STREAM_BLOCK // 2
+    near, back = (np.concatenate([
+        generator(config.seed, block).standard_exponential((min(rows, cells - start), 2))
+        for block, start in enumerate(range(0, cells, rows))
+    ]) / config.intensity).reshape(radii.size, replicates, 2).transpose(2, 0, 1)
+    empty = np.flatnonzero(near > radii[:, None])
+    if empty.size:
+        raise ConfigurationError(f"empty realization at R={radii[empty[0] // replicates]}; "
+                                 "intensity*radius too small")
+    # A nearest distance of 0 is read as in _null_block, and a single point
+    # is the farthest as well as the nearest.
+    d_min = np.maximum(near, sys.float_info.min)
+    log_dmin, log_dmax = np.log(d_min), np.log(np.maximum(radii[:, None] - back, d_min))
     return StabilizationReport(
         intensity=float(config.intensity),
         seed=int(config.seed),
@@ -299,8 +295,9 @@ def load_null_baseline(path: str | Path | None = None) -> NullBaseline:
 
     Resolution order: explicit ``path`` argument, the ``SPECENT_NULL_BASELINE``
     environment variable, then the versioned file shipped with the package.
-    A file that cannot be read, is not JSON, lacks a field or breaks the
-    schema's rule for one raises InvalidArgumentError naming it.
+    A file that cannot be read, is not JSON, lacks a field, has a field
+    the schema does not list or breaks the schema's rule for one raises
+    InvalidArgumentError naming it.
     """
     if path is None:
         path = os.environ.get(BASELINE_ENV_VAR)
@@ -308,33 +305,41 @@ def load_null_baseline(path: str | Path | None = None) -> NullBaseline:
               if path is None else Path(path))
     try:
         payload = json.loads(source.read_text("utf-8"))
-        fields = {key: payload[key] for key in (*_BASELINE_INTEGERS, *_BASELINE_NUMBERS)}
-    except KeyError as exc:
-        raise InvalidArgumentError(f"null baseline {source} has no {exc} field") from None
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InvalidArgumentError(f"cannot read null baseline {source}: {exc}") from None
-    fields = {key: _schema_value(source, key, value) for key, value in fields.items()}
+    fields = _schema_fields(source, payload)
     return NullBaseline(M=fields["M"], mean=fields["mean"], stderr=fields["stderr"],
                         intensity=fields["lambda"], radius=fields["R"],
                         replicates=fields["replicates"], seed=fields["seed"])
 
 
-def _schema_value(source, key: str, value):
-    """A baseline file's field ``key`` as an int or float, if the schema allows it.
+def _schema_fields(source, payload) -> dict:
+    """The fields of baseline file ``source``, read as ``payload``, if they
+    meet every rule of the shipped schema: integers as int, numbers as float.
 
     JSON reads ``1e400`` as inf and ``true`` as a bool, and an integral
-    float such as ``50.0`` is a schema integer; a bool is never a number.
+    float such as ``50.0`` is a schema integer; a bool is never a number,
+    and a number must be finite.
     """
-    if key in _BASELINE_INTEGERS:
-        least = _BASELINE_INTEGERS[key]
+    schema = json.loads(resources.files("specent").joinpath(_BASELINE_SCHEMA).read_text("utf-8"))
+    if not isinstance(payload, dict):
+        raise InvalidArgumentError(f"null baseline {source} is not a JSON object")
+    extra = sorted(set(payload) - set(schema["properties"]))
+    if extra:
+        raise InvalidArgumentError(f"null baseline {source} has an unknown field {extra[0]!r}")
+    fields = {}
+    for key in schema["required"]:  # every property
+        if key not in payload:
+            raise InvalidArgumentError(f"null baseline {source} has no {key!r} field")
+        rule, value = schema["properties"][key], payload[key]
         if isinstance(value, float) and value.is_integer():
             value = int(value)
-        if type(value) is int and (least is None or value >= least):
-            return value
-        rule = "an integer" if least is None else f"an integer of at least {least}"
-    else:
         # An int past float's range compares exactly and fails the cap.
-        if type(value) in (int, float) and 0 < value <= sys.float_info.max:
-            return float(value)
-        rule = "a finite positive number"
-    raise InvalidArgumentError(f"null baseline {source} field {key} must be {rule}, got {value!r}")
+        valid = (type(value) is int if rule.get("type") == "integer"
+                 else type(value) in (int, float) and abs(value) <= sys.float_info.max)
+        if not (valid and all(test(value, rule[word])
+                              for word, test in _SCHEMA_TESTS.items() if word in rule)):
+            raise InvalidArgumentError(f"null baseline {source} field {key} must meet "
+                                       f"{json.dumps(rule)}, got {value!r}")
+        fields[key] = float(value) if rule.get("type") == "number" else value
+    return fields

@@ -1,6 +1,6 @@
-"""Order-preserving map used by every replicate, radius and sample loop.
+"""Order-preserving map used by the radius and ensemble sample loops.
 
-Each work item carries its own RNG sub-stream, so results depend only on
+An ensemble sample carries its own RNG sub-stream, so results depend only on
 the item index.  Items run serially in the caller's thread: every item is
 a few small numpy calls, which threads did not speed up.  ``workers`` is
 accepted and ignored, because the benchmark's layer tracer

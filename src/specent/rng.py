@@ -3,9 +3,9 @@
 Two derivation schemes cover every stochastic component:
 
 * keyed sub-streams -- ``generator(seed, *spawn_key)`` builds a Generator
-  from ``SeedSequence(entropy=seed, spawn_key=spawn_key)``.  Replicate ``i``
-  of a run with base seed ``s`` therefore always sees the same stream, no
-  matter in which order or on how many threads replicates execute.
+  from ``SeedSequence(entropy=seed, spawn_key=spawn_key)``.  A null block
+  or an ensemble sample ``i`` of base seed ``s`` therefore always sees the
+  same stream, no matter in which order the items are drawn.
 * indexed streams -- ``indexed_uniforms(key, start, count)`` exposes the raw
   64-bit output stream of ``Philox(key=key)`` as uniforms in [0, 1).  The
   value at stream position ``n`` is a pure function of ``(key, n)``, which

@@ -386,7 +386,7 @@ def test_integer_flag_that_would_round_exits_2(argv, message, monkeypatch, tmp_p
     from specent import cramer, nullmodel
 
     monkeypatch.setattr(cramer, "indexed_uniforms", _refuse_to_sieve)
-    monkeypatch.setattr(nullmodel, "_substreams", _refuse_to_sieve)
+    monkeypatch.setattr(nullmodel, "generator", _refuse_to_sieve)
     code, stdout, err = run(argv + ["--out", str(tmp_path / "r.json")], capsys)
     assert (code, stdout, err) == (2, "", message + "\n")
     assert not (tmp_path / "r.json").exists()
@@ -724,6 +724,8 @@ _BAD_BASELINES = {
     "huge-seed": _baseline_text(seed="1e400"),
     "fractional-M": _baseline_text(M="50.5"),
     "bool-M": _baseline_text(M="true"),
+    "format-version": _baseline_text(format_version="2"),
+    "extra-key": _baseline_text(source='"hand-edited"'),
 }
 
 
@@ -824,7 +826,7 @@ def test_both_grid_commands_reject_a_bad_grid_before_any_work(command, grid, mes
     # One grid rule: nothing is sieved or drawn and no file is written.
     from specent import cli, nullmodel
 
-    monkeypatch.setattr(nullmodel, "_extrema", _refuse_to_sieve)
+    monkeypatch.setattr(nullmodel, "generator", _refuse_to_sieve)
     for name in ("primes_in_window", "sieve_up_to", "first_n_primes"):
         monkeypatch.setattr(cli, name, _refuse_to_sieve)
     out = tmp_path / "r.json"
@@ -876,3 +878,61 @@ def test_readme_commands_parse():
     for argv in commands:
         args = cli.build_parser().parse_args(argv)
         assert args.subcommand == argv[0]
+
+
+def test_readme_baseline_command_reproduces_the_shipped_file(tmp_path, capsys):
+    # Any change to the null's streams must regenerate the shipped baseline.
+    (argv,) = [argv for argv in _readme_commands() if "--baseline-out" in argv]
+    argv[argv.index("--baseline-out") + 1] = str(tmp_path / "baseline.json")
+    assert run(argv + ["--out", str(tmp_path / "r.json")], capsys)[0] == 0
+    shipped = resources.files("specent") / "data" / "null_baseline_M50.json"
+    assert (tmp_path / "baseline.json").read_bytes() == shipped.read_bytes()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_deviation_at_two_bins_writes_strict_json(tmp_path, capsys):
+    # At M = 2 every H is log 2, so the null's standard error is 0 and z is null.
+    out = tmp_path / "r.json"
+    code, stdout, _ = run(["deviation", "--p", "1000003", "--R", "1e3", "--M", "2", "--reps",
+                           "10", "--seed", "1", "--out", str(out)], capsys)
+    assert code == 0 and "z = undefined" in stdout
+    result = json.loads(out.read_text(), parse_constant=_refuse_constant)["result"]
+    assert result["null_stderr"] == 0.0 and result["z_score"] is None
+    validate_payload(out)
+
+
+def test_non_finite_result_exits_1_without_a_file(monkeypatch, tmp_path, capsys):
+    from dataclasses import replace
+
+    from specent import cli
+
+    real = cli.deviation_profile
+    monkeypatch.setattr(cli, "deviation_profile",
+                        lambda *args: replace(real(*args), z_score=float("inf")))
+    out = tmp_path / "r.json"
+    code, stdout, err = run(["deviation", "--p", "101", "--R", "1e3", "--M", "8", "--reps", "4",
+                             "--seed", "1", "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"SpecentError: cannot write {out}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(_GRID_COMMANDS))
+@pytest.mark.parametrize("grid, message", [("abc", "invalid radius grid: 'abc'"),
+                                           (",", "radius grid is empty")])
+def test_unparsable_radius_grid_exits_2(command, grid, message, tmp_path, capsys):
+    code, stdout, err = run(_GRID_COMMANDS[command] + ["--R-grid", grid, "--out",
+                                                       str(tmp_path / "r.json")], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"specent {command}: error: argument --R-grid: {message}\n"
+
+
+def test_null_reports_its_degenerate_replicates(tmp_path, capsys):
+    # At lambda R = 8 about 0.3% of replicates have fewer than two points.
+    code, stdout, _ = run(["null", "--R", "8", "--M", "8", "--reps", "2000", "--seed", "5",
+                           "--out", str(tmp_path / "r.json")], capsys)
+    assert code == 0
+    assert re.search(r"^excluded [1-9]\d* degenerate replicate\(s\)$", stdout, re.M)

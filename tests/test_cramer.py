@@ -71,6 +71,11 @@ def test_window_clamps_to_domain():
     assert np.array_equal(members_in_window(cfg, -50, 2000), full)
 
 
+def test_reversed_window_is_empty():
+    window = members_in_window(CramerConfig(N=10**4, seed=1), 50, 40)
+    assert window.dtype == np.int64 and window.size == 0
+
+
 @pytest.mark.parametrize("lo, hi", [(math.nan, 10), (3, math.inf)])
 def test_window_ends_must_be_finite(lo, hi):
     with pytest.raises(InvalidArgumentError, match="ends must be finite"):

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +20,8 @@ from specent import (
     null_entropy_once,
     write_baseline,
 )
-from specent.nullmodel import BASELINE_ENV_VAR, MAX_LAMBDA_R, _extrema
+from specent.nullmodel import _STREAM_BLOCK, BASELINE_ENV_VAR, MAX_LAMBDA_R
+from specent.rng import generator
 
 from oracles import oracle_poisson_distances
 
@@ -49,13 +49,11 @@ def test_counts_match_poisson_statistics():
 def test_first_point_is_exponential():
     # Kolmogorov-Smirnov distance to Exp(lambda) below the documented 0.1
     # sanity bound at 500 replicates.
-    lam = 1.0
-    cfg = PoissonConfig(intensity=lam, radius=50.0, seed=33)
-    firsts = []
-    for i in range(500):
-        _, _, log_max, log_ratio = _extrema(cfg, i)
-        firsts.append(math.exp(log_max - log_ratio))
-    firsts = np.sort(firsts)
+    # The nearest point of replicate i is E1 / lambda, E1 the first
+    # exponential of row i of its block (here all 500 rows are in block 0).
+    lam = 0.5
+    rows = _STREAM_BLOCK // 50
+    firsts = np.sort(generator(33, 0).standard_exponential((rows, 2))[:500, 0] / lam)
     ecdf_hi = np.arange(1, 501) / 500
     ecdf_lo = np.arange(0, 500) / 500
     cdf = 1.0 - np.exp(-lam * firsts)
@@ -169,18 +167,26 @@ def test_stabilization_trends():
 
 
 def test_stabilization_cells_equal_single_extrema_draws():
-    # Cell j of radius i is replicate i * reps + j of its own generator.
-    cfg, radii, reps = PoissonConfig(intensity=1.0, radius=1e4, seed=6), (1e2, 1e3, 1e4), 30
-    report = check_bin_stabilization(cfg, radii, reps)
-    logs = np.array([[_extrema(replace(cfg, radius=r), i * reps + j)[2:] for j in range(reps)]
-                     for i, r in enumerate(radii)])
-    log_dmax, log_dmin = logs[..., 0], logs[..., 0] - logs[..., 1]
-    d_min = np.exp(log_dmin)
-    assert np.array_equal(report.mean_abs_log_dmax_gap,
-                          np.abs(log_dmax - np.log(radii)[:, None]).mean(axis=1))
-    assert np.array_equal(report.mean_log_dmin, log_dmin.mean(axis=1))
-    assert np.array_equal(report.mean_dmin, d_min.mean(axis=1))
-    assert np.array_equal(report.stderr_dmin, d_min.std(axis=1, ddof=1) / math.sqrt(reps))
+    # Cell k = i * reps + j is row k mod B of block k // B, B = 2**14: its
+    # nearest distance is E1 / lambda and its farthest R - E2 / lambda.
+    # 3 x 6000 cells span two blocks.
+    lam, radii, reps = 2.0, (1e2, 1e3, 1e4), 6000
+    report = check_bin_stabilization(PoissonConfig(intensity=lam, radius=1e4, seed=6),
+                                     radii, reps)
+    rows = _STREAM_BLOCK // 2
+    e = np.concatenate([generator(6, 0).standard_exponential((rows, 2)),
+                        generator(6, 1).standard_exponential((3 * reps - rows, 2))])
+    e1, e2 = e.reshape(3, reps, 2).transpose(2, 0, 1)
+    d_min = e1 / lam
+    d_max = np.array(radii)[:, None] - e2 / lam
+    assert np.all(d_min < d_max)  # no cell with a single point
+    np.testing.assert_allclose(report.mean_abs_log_dmax_gap,
+                               np.log(np.array(radii)[:, None] / d_max).mean(axis=1),
+                               rtol=1e-9)
+    np.testing.assert_allclose(report.mean_log_dmin, np.log(d_min).mean(axis=1), rtol=1e-12)
+    np.testing.assert_allclose(report.mean_dmin, d_min.mean(axis=1), rtol=1e-12)
+    np.testing.assert_allclose(report.stderr_dmin,
+                               d_min.std(axis=1, ddof=1) / math.sqrt(reps), rtol=1e-12)
 
 
 def test_stabilization_rejects_an_unsorted_grid():
@@ -268,6 +274,47 @@ def test_batched_null_skips_the_same_degenerate_replicates():
     config = PoissonConfig(intensity=1.0, radius=8.0, seed=5)
     est = estimate_null_entropy(8, config, 2000)
     expected, degenerate = _single_report_values(config, 8, 2000)
-    assert degenerate == 6
+    assert degenerate == 7
     assert est.degenerate_count == degenerate
     assert [h.hex() for h in est.per_replicate_H.tolist()] == [h.hex() for h in expected]
+
+
+@pytest.mark.parametrize("M", [2, 50, 1000])
+def test_single_reports_equal_estimate_values_across_block_boundaries(M):
+    # Replicate i is row i mod B of block i // B, B = max(1, 2**15 // M); a
+    # single report draws only the rows up to its own.
+    rows = max(1, _STREAM_BLOCK // M)
+    config = PoissonConfig(intensity=1.0, radius=1e3, seed=4)
+    est = estimate_null_entropy(M, config, 2 * rows + 2)
+    assert est.degenerate_count == 0
+    for i in (0, rows - 1, rows, rows + 1, 2 * rows + 1):
+        assert null_entropy_once(config, M, i).H.hex() == est.per_replicate_H[i].hex()
+
+
+def test_a_nearest_point_drawn_at_zero_stays_finite(monkeypatch):
+    # standard_exponential returns exactly 0 about once in 2**53 draws; no
+    # NaN or inf may then reach poisson or a report.
+    from specent import nullmodel
+
+    real = nullmodel.generator
+
+    class ZeroNearest:
+        def __init__(self, *key):
+            self.rng = real(*key)
+
+        def standard_exponential(self, size):
+            e = self.rng.standard_exponential(size)
+            e[0, 0] = 0.0
+            return e
+
+        def poisson(self, lam):
+            assert np.all(np.isfinite(lam)) and np.all(lam >= 0)
+            return self.rng.poisson(lam)
+
+    monkeypatch.setattr(nullmodel, "generator", ZeroNearest)
+    config = PoissonConfig(intensity=1.0, radius=1e3, seed=1)
+    est = estimate_null_entropy(50, config, 10)
+    assert est.degenerate_count == 0 and np.all(np.isfinite(est.per_replicate_H))
+    assert math.isfinite(null_entropy_once(config, 50, 0).H)
+    report = check_bin_stabilization(config, (1e2, 1e3), 5)
+    assert np.all(np.isfinite(report.mean_log_dmin)) and np.all(report.mean_dmin > 0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from specent import log_bin, log_spectrum
+from specent import InvalidArgumentError, log_bin, log_spectrum
 from specent.binning import LogBinning
 from specent.spectrum import Spectrum
 
@@ -79,6 +79,12 @@ def test_pipeline_spectrum_matches_oracle(table_small):
     got = log_spectrum(binning).amplitudes
     ref = oracle_spectrum(binning.probs.tolist(), binning.centers.tolist())
     np.testing.assert_allclose(got, ref, atol=1e-13)
+
+
+def test_single_bin_is_rejected():
+    # A hand-built LogBinning is the only way to reach the FFT with one bin.
+    with pytest.raises(InvalidArgumentError, match="need at least 2 bins, got 1"):
+        log_spectrum(binning_from_probs([1.0], [0.0]))
 
 
 def test_to_dict_shape():

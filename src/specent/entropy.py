@@ -119,14 +119,13 @@ def _count_entropy(counts: np.ndarray):
 
 def _entropy_of_rows(item, count: int, width: int, rows=np.stack) -> np.ndarray:
     """Entropies of the count rows that ``rows`` builds from each block of the
-    items ``item(i)``, ``i < count``, skipping ``None``; blocks of at most
-    ``_BLOCK_VALUES // width`` items keep temporaries independent of ``count``."""
+    items ``item(i)``, ``i < count``; blocks of at most ``_BLOCK_VALUES //
+    width`` items keep temporaries independent of ``count``."""
     block = max(1, _BLOCK_VALUES // width)
-    parts = []
-    for start in range(0, count, block):
-        items = [r for r in ordered_map(item, range(start, min(start + block, count))) if r is not None]
-        parts.append(entropy_from_counts(rows(items)) if items else np.empty(0))
-    return np.concatenate(parts)
+    return np.concatenate([
+        entropy_from_counts(rows(ordered_map(item, range(start, min(start + block, count)))))
+        for start in range(0, count, block)
+    ])
 
 
 def full_pipeline(

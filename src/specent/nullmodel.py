@@ -12,18 +12,15 @@ the first bin and the farthest in the last.  So ``lambda`` and ``R`` matter
 only through ``L``.
 
 Replicate ``i`` is row ``i mod B`` of block ``i // B``, ``B = max(1,
-_STREAM_BLOCK // M)``: ``generator(seed, i // B)`` draws the block's
-``(B, 2)`` exponentials, then its counts row by row, so a block's first rows
-do not depend on how many are asked for.  Stabilization cells are the rows
-of blocks of ``_STREAM_BLOCK // 2`` extrema.  Single replicates and the
-count rows of an estimate share the count kernel of :mod:`specent.entropy`.
+_STREAM_BLOCK // M)``, which ``generator(seed, i // B)`` draws: all ``B``
+rows of exponentials, then the counts row by row.  Stabilization cells are
+the rows of blocks of ``_STREAM_BLOCK // 2`` extrema.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -47,9 +44,10 @@ from .rng import generator
 
 BASELINE_ENV_VAR = "SPECENT_NULL_BASELINE"
 _BASELINE_RESOURCE = "null_baseline_M50.json"
-_BASELINE_SCHEMA = "schemas/v1/null_baseline.schema.json"
-# The comparison keywords of that schema, each with the test it puts a value to.
-_SCHEMA_TESTS = {"const": operator.eq, "minimum": operator.ge, "exclusiveMinimum": operator.gt}
+# The fields of null_baseline.schema.json besides format_version: integers
+# with their least value, and numbers, which must be positive.
+_BASELINE_INTEGERS = {"M": 2, "replicates": 2, "seed": None}
+_BASELINE_NUMBERS = ("mean", "stderr", "lambda", "R")
 
 # Values in one block of a null stream: rows x M counts, or rows x 2 extrema
 # for the stabilization scan.  Changing it changes every null stream.
@@ -122,19 +120,26 @@ class StabilizationReport:
         return as_json(self, rename={"intensity": "lambda"})
 
 
+def _block_extrema(seed: int, block: int, rows: int, stop: int, scale: float = 1.0):
+    """``generator(seed, block)`` after it draws a block of ``rows`` extrema
+    rows, and the ``E1 / scale`` and ``E2 / scale`` columns of its first
+    ``stop``.  A nearest point drawn at exactly 0 (about 2**-53 a row) is
+    read as the least normal double, which keeps every log finite."""
+    rng = generator(seed, block)
+    e1, e2 = (rng.standard_exponential((rows, 2))[:stop] / scale).T
+    return rng, np.maximum(e1, sys.float_info.min), e2
+
+
 def _null_block(config: PoissonConfig, M: int, block: int, stop: int):
     """Rows ``< stop`` of null block ``block``: the counts of those with two
     points or more, which rows those are, and which have none.  Every step
     after the block's exponentials is row by row, so ``stop`` changes no
     row it keeps."""
     L = config.intensity * config.radius
-    rng = generator(config.seed, block)
-    e1, e2 = rng.standard_exponential((max(1, _STREAM_BLOCK // M), 2))[:stop].T
+    rng, e1, e2 = _block_extrema(config.seed, block, max(1, _STREAM_BLOCK // M), stop)
     far = L - e2
     kept = e1 < far
-    # A nearest point drawn at exactly 0 (about 2**-53 a row) is read as the
-    # least normal double, which keeps every log and width finite.
-    lo = np.log(np.maximum(e1[kept], sys.float_info.min))
+    lo = np.log(e1[kept])
     step = (np.log(far[kept]) - lo) / M
     widths = np.exp(lo[:, None] + step[:, None] * np.arange(M)) * np.expm1(step)[:, None]
     counts = rng.poisson(widths)
@@ -165,16 +170,10 @@ def _check_replicates(replicates: int) -> None:
     if replicates < 2:
         raise InvalidArgumentError(f"need at least 2 replicates, got {replicates}")
     if replicates > MAX_REPLICATES:
-        raise InvalidArgumentError(
-            f"replicates must be at most {MAX_REPLICATES}, got {replicates}"
-        )
+        raise InvalidArgumentError(f"replicates must be at most {MAX_REPLICATES}, got {replicates}")
 
 
-def estimate_null_entropy(
-    M: int,
-    config: PoissonConfig,
-    replicates: int,
-) -> NullEstimate:
+def estimate_null_entropy(M: int, config: PoissonConfig, replicates: int) -> NullEstimate:
     """Mean and standard error of the null entropy over seeded replicates.
 
     Degenerate realizations (empty, or with a single distinct value) are
@@ -185,23 +184,17 @@ def estimate_null_entropy(
     _check_replicates(replicates)
     M = _check_bins(M)
     rows = max(1, _STREAM_BLOCK // M)
-    parts = []
-    for block, start in enumerate(range(0, replicates, rows)):
-        counts = _null_block(config, M, block, min(rows, replicates - start))[0]
-        parts.append(entropy_from_counts(counts) if counts.size else np.empty(0))
-    values = np.concatenate(parts)
+    blocks = (_null_block(config, M, b, min(rows, replicates - start))[0]
+              for b, start in enumerate(range(0, replicates, rows)))
+    values = np.concatenate([entropy_from_counts(c) if c.size else np.empty(0) for c in blocks])
     degenerate = replicates - values.size
     if degenerate > _DEGENERATE_TOLERANCE * replicates or values.size < 2:
-        raise ConfigurationError(
-            f"{degenerate} of {replicates} replicates degenerate; "
-            f"intensity*radius = {config.intensity * config.radius} is too small"
-        )
-    mean = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / math.sqrt(values.size))
+        raise ConfigurationError(f"{degenerate} of {replicates} replicates degenerate; intensity"
+                                 f"*radius = {config.intensity * config.radius} is too small")
     return NullEstimate(
         M=int(M),
-        mean_H=mean,
-        std_error=std_error,
+        mean_H=float(np.mean(values)),
+        std_error=float(np.std(values, ddof=1) / math.sqrt(values.size)),
         replicates=int(values.size),
         per_replicate_H=values,
         intensity=float(config.intensity),
@@ -211,11 +204,8 @@ def estimate_null_entropy(
     )
 
 
-def check_bin_stabilization(
-    config: PoissonConfig,
-    radii: Sequence[float],
-    replicates: int,
-) -> StabilizationReport:
+def check_bin_stabilization(config: PoissonConfig, radii: Sequence[float],
+                            replicates: int) -> StabilizationReport:
     """Sample extrema behavior across a non-decreasing radius grid.
 
     Per radius, reports the sample mean of ``|log d_max - log R|`` (expected
@@ -226,25 +216,21 @@ def check_bin_stabilization(
     """
     _check_replicates(replicates)
     if len(radii) * replicates > MAX_REPLICATES:
-        raise InvalidArgumentError(
-            f"radii x replicates must be at most {MAX_REPLICATES}, "
-            f"got {len(radii)} x {replicates}"
-        )
+        raise InvalidArgumentError(f"radii x replicates must be at most {MAX_REPLICATES}, "
+                                   f"got {len(radii)} x {replicates}")
     for r in radii:  # each radius checked as a config
         replace(config, radius=float(r))
     radii = _check_radii(0.0, radii)  # the process is conditioned on a point at 0
     cells, rows = radii.size * replicates, _STREAM_BLOCK // 2
-    near, back = (np.concatenate([
-        generator(config.seed, block).standard_exponential((min(rows, cells - start), 2))
+    d_min, back = np.concatenate([
+        np.stack(_block_extrema(config.seed, block, rows, cells - start, config.intensity)[1:])
         for block, start in enumerate(range(0, cells, rows))
-    ]) / config.intensity).reshape(radii.size, replicates, 2).transpose(2, 0, 1)
-    empty = np.flatnonzero(near > radii[:, None])
+    ], axis=1).reshape(2, radii.size, replicates)
+    empty = np.flatnonzero(d_min > radii[:, None])
     if empty.size:
         raise ConfigurationError(f"empty realization at R={radii[empty[0] // replicates]}; "
                                  "intensity*radius too small")
-    # A nearest distance of 0 is read as in _null_block, and a single point
-    # is the farthest as well as the nearest.
-    d_min = np.maximum(near, sys.float_info.min)
+    # A single point is the farthest as well as the nearest.
     log_dmin, log_dmax = np.log(d_min), np.log(np.maximum(radii[:, None] - back, d_min))
     return StabilizationReport(
         intensity=float(config.intensity),
@@ -295,8 +281,8 @@ def load_null_baseline(path: str | Path | None = None) -> NullBaseline:
 
     Resolution order: explicit ``path`` argument, the ``SPECENT_NULL_BASELINE``
     environment variable, then the versioned file shipped with the package.
-    A file that cannot be read, is not JSON, lacks a field, has a field
-    the schema does not list or breaks the schema's rule for one raises
+    A file that cannot be read, is not JSON, lacks a field, has a field the
+    schema does not list or breaks the schema's rule for one raises
     InvalidArgumentError naming it.
     """
     if path is None:
@@ -305,41 +291,41 @@ def load_null_baseline(path: str | Path | None = None) -> NullBaseline:
               if path is None else Path(path))
     try:
         payload = json.loads(source.read_text("utf-8"))
-    except (OSError, ValueError) as exc:
+        fields = {key: payload[key]
+                  for key in ("format_version", *_BASELINE_INTEGERS, *_BASELINE_NUMBERS)}
+        unknown = sorted(set(payload) - set(fields))
+    except KeyError as exc:
+        raise InvalidArgumentError(f"null baseline {source} has no {exc} field") from None
+    except (OSError, ValueError, TypeError) as exc:
         raise InvalidArgumentError(f"cannot read null baseline {source}: {exc}") from None
-    fields = _schema_fields(source, payload)
+    if unknown:
+        raise InvalidArgumentError(f"null baseline {source} has an unknown field {unknown[0]!r}")
+    fields = {key: _schema_value(source, key, value) for key, value in fields.items()}
     return NullBaseline(M=fields["M"], mean=fields["mean"], stderr=fields["stderr"],
                         intensity=fields["lambda"], radius=fields["R"],
                         replicates=fields["replicates"], seed=fields["seed"])
 
 
-def _schema_fields(source, payload) -> dict:
-    """The fields of baseline file ``source``, read as ``payload``, if they
-    meet every rule of the shipped schema: integers as int, numbers as float.
+def _schema_value(source, key: str, value):
+    """A baseline file's field ``key`` as an int or float, if the schema allows it.
 
     JSON reads ``1e400`` as inf and ``true`` as a bool, and an integral
-    float such as ``50.0`` is a schema integer; a bool is never a number,
-    and a number must be finite.
+    float such as ``50.0`` is a schema integer; a bool is never a number.
     """
-    schema = json.loads(resources.files("specent").joinpath(_BASELINE_SCHEMA).read_text("utf-8"))
-    if not isinstance(payload, dict):
-        raise InvalidArgumentError(f"null baseline {source} is not a JSON object")
-    extra = sorted(set(payload) - set(schema["properties"]))
-    if extra:
-        raise InvalidArgumentError(f"null baseline {source} has an unknown field {extra[0]!r}")
-    fields = {}
-    for key in schema["required"]:  # every property
-        if key not in payload:
-            raise InvalidArgumentError(f"null baseline {source} has no {key!r} field")
-        rule, value = schema["properties"][key], payload[key]
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if key == "format_version":
+        if type(value) is int and value == 1:
+            return value
+        rule = "1"
+    elif key in _BASELINE_INTEGERS:
+        least = _BASELINE_INTEGERS[key]
+        if type(value) is int and (least is None or value >= least):
+            return value
+        rule = "an integer" if least is None else f"an integer of at least {least}"
+    else:
         # An int past float's range compares exactly and fails the cap.
-        valid = (type(value) is int if rule.get("type") == "integer"
-                 else type(value) in (int, float) and abs(value) <= sys.float_info.max)
-        if not (valid and all(test(value, rule[word])
-                              for word, test in _SCHEMA_TESTS.items() if word in rule)):
-            raise InvalidArgumentError(f"null baseline {source} field {key} must meet "
-                                       f"{json.dumps(rule)}, got {value!r}")
-        fields[key] = float(value) if rule.get("type") == "number" else value
-    return fields
+        if type(value) in (int, float) and 0 < value <= sys.float_info.max:
+            return float(value)
+        rule = "a finite positive number"
+    raise InvalidArgumentError(f"null baseline {source} field {key} must be {rule}, got {value!r}")

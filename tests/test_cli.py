@@ -725,6 +725,7 @@ _BAD_BASELINES = {
     "fractional-M": _baseline_text(M="50.5"),
     "bool-M": _baseline_text(M="true"),
     "format-version": _baseline_text(format_version="2"),
+    "bool-format-version": _baseline_text(format_version="true"),
     "extra-key": _baseline_text(source='"hand-edited"'),
 }
 

@@ -46,14 +46,28 @@ def test_counts_match_poisson_statistics():
     assert abs(mean - lam * R) <= tol
 
 
-def test_first_point_is_exponential():
+def test_first_point_is_exponential(monkeypatch):
     # Kolmogorov-Smirnov distance to Exp(lambda) below the documented 0.1
-    # sanity bound at 500 replicates.
-    # The nearest point of replicate i is E1 / lambda, E1 the first
-    # exponential of row i of its block (here all 500 rows are in block 0).
+    # sanity bound at 500 replicates, on the nearest points the package draws:
+    # cell j's is E1 / lambda, E1 the first exponential of its block row.
+    from specent import nullmodel
+
+    real, drawn = nullmodel.generator, []
+
+    class Recording:
+        def __init__(self, *key):
+            self.rng = real(*key)
+
+        def standard_exponential(self, size):
+            drawn.append(self.rng.standard_exponential(size))
+            return drawn[-1]
+
+    monkeypatch.setattr(nullmodel, "generator", Recording)
     lam = 0.5
-    rows = _STREAM_BLOCK // 50
-    firsts = np.sort(generator(33, 0).standard_exponential((rows, 2))[:500, 0] / lam)
+    report = check_bin_stabilization(PoissonConfig(intensity=lam, radius=1e4, seed=33), (1e4,), 500)
+    firsts = drawn[0][:500, 0] / lam
+    assert len(drawn) == 1 and report.mean_dmin[0] == firsts.mean()
+    firsts = np.sort(firsts)
     ecdf_hi = np.arange(1, 501) / 500
     ecdf_lo = np.arange(0, 500) / 500
     cdf = 1.0 - np.exp(-lam * firsts)
@@ -176,17 +190,14 @@ def test_stabilization_cells_equal_single_extrema_draws():
     rows = _STREAM_BLOCK // 2
     e = np.concatenate([generator(6, 0).standard_exponential((rows, 2)),
                         generator(6, 1).standard_exponential((3 * reps - rows, 2))])
-    e1, e2 = e.reshape(3, reps, 2).transpose(2, 0, 1)
-    d_min = e1 / lam
-    d_max = np.array(radii)[:, None] - e2 / lam
+    d_min, back = (e / lam).T.reshape(2, 3, reps)
+    d_max = np.array(radii)[:, None] - back
     assert np.all(d_min < d_max)  # no cell with a single point
-    np.testing.assert_allclose(report.mean_abs_log_dmax_gap,
-                               np.log(np.array(radii)[:, None] / d_max).mean(axis=1),
-                               rtol=1e-9)
-    np.testing.assert_allclose(report.mean_log_dmin, np.log(d_min).mean(axis=1), rtol=1e-12)
-    np.testing.assert_allclose(report.mean_dmin, d_min.mean(axis=1), rtol=1e-12)
-    np.testing.assert_allclose(report.stderr_dmin,
-                               d_min.std(axis=1, ddof=1) / math.sqrt(reps), rtol=1e-12)
+    gap = np.abs(np.log(d_max) - np.log(radii)[:, None]).mean(axis=1)
+    assert np.array_equal(report.mean_abs_log_dmax_gap, gap)
+    assert np.array_equal(report.mean_log_dmin, np.log(d_min).mean(axis=1))
+    assert np.array_equal(report.mean_dmin, d_min.mean(axis=1))
+    assert np.array_equal(report.stderr_dmin, d_min.std(axis=1, ddof=1) / math.sqrt(reps))
 
 
 def test_stabilization_rejects_an_unsorted_grid():
